@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 
 import numpy as np
 
+from . import _kernels
 from . import distortion as _distortion
 from . import factor as _factor
 from . import mc as _mc
@@ -81,11 +81,24 @@ def _mc_orders(measure_text: str):
     return None
 
 
+def _check_trials(trials: int) -> None:
+    """Monte Carlo reports carry a standard error, which needs two trials."""
+    if trials < 2:
+        raise DataError(f"--trials must be at least 2, got {trials}")
+
+
+def _require(entry, key: str, where: str):
+    """entry[key], or a DataError naming where the key is missing."""
+    if not isinstance(entry, dict) or key not in entry:
+        raise DataError(f"{where}: missing key {key!r}")
+    return entry[key]
+
+
 def _columns_arg(text):
     return [c.strip() for c in text.split(",")] if text else None
 
 
-def _effective_series(series: np.ndarray, scheme: _sampling.DrawScheme, seed: int,
+def _effective_series(series: np.ndarray, scheme: _sampling.DrawScheme,
                       standardize: bool):
     """Scheme-transformed series plus the exact-evaluation weights.
 
@@ -114,7 +127,7 @@ def _effective_series(series: np.ndarray, scheme: _sampling.DrawScheme, seed: in
 
 
 def _draw_values(series, scheme, seed, trials, draws_per_trial, standardize):
-    eff, _, draw_scheme, _ = _effective_series(series, scheme, seed, standardize)
+    eff, _, draw_scheme, _ = _effective_series(series, scheme, standardize)
     draws = _sampling.generate_draws(draw_scheme, eff.size, trials, draws_per_trial, seed)
     return draws, _sampling.materialize(draws, eff), eff
 
@@ -146,6 +159,8 @@ def _load_aligned(path_a, path_b, columns_a, columns_b, returns: bool):
 
 def _cmd_estimate(args) -> dict:
     t0 = time.perf_counter()
+    if args.trials:
+        _check_trials(args.trials)
     panel = ingest_panel(args.input, returns=args.returns)
     series = panel.series(_columns_arg(args.columns))
     measure = _distortion.parse_measure(args.measure)
@@ -171,8 +186,7 @@ def _cmd_estimate(args) -> dict:
             out.update(estimate=weighted_var(plot_dist, measure),
                        trials=args.trials, method="monte-carlo-weighted")
     else:
-        eff, probs, _, exact_ok = _effective_series(series, scheme, args.seed,
-                                                    args.standardize)
+        eff, probs, _, exact_ok = _effective_series(series, scheme, args.standardize)
         if not exact_ok:
             raise DataError(f"scheme {args.scheme} needs --trials")
         if panel.probs is not None:
@@ -202,6 +216,7 @@ def _write_plot_data(prefix: str, dist: ScenarioDistribution) -> None:
 
 def _cmd_announce(args) -> dict:
     t0 = time.perf_counter()
+    _check_trials(args.trials)
     panel = ingest_panel(args.input, returns=args.returns)
     series = panel.series(_columns_arg(args.columns))
     orders = _mc_orders(args.measure)
@@ -211,7 +226,7 @@ def _cmd_announce(args) -> dict:
     scheme = _sampling.parse_scheme(args.scheme)
     draws, values, eff = _draw_values(series, scheme, args.seed, args.trials, a,
                                       args.standardize)
-    selected = _rank_selection(values, b) if b > 1 else _row_argmin(values)
+    selected = _kernels.rank_columns(values, b) if b > 1 else _kernels.row_argmin(values)
     payload = {
         "schema": ANNOUNCE_SCHEMA,
         "measure": args.measure, "scheme": args.scheme, "seed": args.seed,
@@ -228,18 +243,10 @@ def _cmd_announce(args) -> dict:
     return _base_report(args, out)
 
 
-def _rank_selection(values: np.ndarray, b: int) -> np.ndarray:
-    from . import _kernels
-    return _kernels.rank_columns(values, b)
-
-
-def _row_argmin(values: np.ndarray) -> np.ndarray:
-    from . import _kernels
-    return _kernels.row_argmin(values)
-
-
 def _cmd_contrib(args) -> dict:
     t0 = time.perf_counter()
+    if args.trials:
+        _check_trials(args.trials)
     if args.announced:
         out = _contrib_announced(args)
     elif args.firm:
@@ -258,7 +265,7 @@ def _contrib_announced(args) -> dict:
     panel = ingest_panel(args.input, returns=args.returns)
     series = panel.series(_columns_arg(args.columns))
     scheme = _sampling.parse_scheme(ann["scheme"])
-    eff, _, _, _ = _effective_series(series, scheme, ann["seed"], args.standardize)
+    eff, _, _, _ = _effective_series(series, scheme, args.standardize)
     if eff.size < ann["series_len"]:
         raise DataError(
             f"trade history too short: announce covers {ann['series_len']} periods, "
@@ -267,19 +274,20 @@ def _contrib_announced(args) -> dict:
     x_vals = eff[indices]
     if x_vals.ndim == 3:
         x_vals = x_vals.sum(axis=2)
-    b = int(ann["order_beta"])
     k = x_vals.shape[0]
+    if k < 2:
+        raise DataError(f"{args.announced}: holds {k} trial(s); a standard error "
+                        "needs at least 2")
+    b = int(ann["order_beta"])
+    sel = np.asarray(ann["selected"], dtype=np.int64)
     if b > 1:
-        sel = np.asarray(ann["selected"], dtype=np.int64)
         picked = np.take_along_axis(x_vals, sel, axis=1).sum(axis=1) / b
     else:
-        sel = np.asarray(ann["selected"], dtype=np.int64)
         picked = x_vals[np.arange(k), sel]
-    mean = math.fsum(picked.tolist()) / k
-    var = math.fsum((v - mean) ** 2 for v in picked.tolist()) / max(k - 1, 1)
+    est = _mc._reduce(picked)
     return {"measure": ann["measure"], "scheme": ann["scheme"], "seed": ann["seed"],
-            "trials": k, "contribution": -mean,
-            "std_error": math.sqrt(var / k), "method": "announced"}
+            "trials": est.trials, "contribution": est.value,
+            "std_error": est.std_error, "method": "announced"}
 
 
 def _contrib_inprocess(args) -> dict:
@@ -301,7 +309,7 @@ def _contrib_inprocess(args) -> dict:
         scheme = _sampling.parse_scheme(args.scheme)
         draws, w_vals, eff_w = _draw_values(w_series, scheme, args.seed, args.trials, a,
                                             args.standardize)
-        eff_x, _, _, _ = _effective_series(x_series, scheme, args.seed, args.standardize)
+        eff_x, _, _, _ = _effective_series(x_series, scheme, args.standardize)
         x_vals = _sampling.materialize(draws, eff_x)
         est = _mc.beta_contribution_mc(x_vals, w_vals, b) if b > 1 else \
             _mc.alpha_contribution_mc(x_vals, w_vals)
@@ -387,8 +395,11 @@ def _cmd_optimize(args) -> dict:
     method = reg.pop("method")
     limits = []
     for i, entry in enumerate(spec):
-        measure = _distortion.parse_measure(entry["measure"])
-        label = entry.get("label") or f"{entry['measure']}<= {entry['limit']}"
+        where = f"{args.limits}: entry {i}"
+        text = _require(entry, "measure", where)
+        limit = _require(entry, "limit", where)
+        measure = _distortion.parse_measure(text)
+        label = entry.get("label") or f"{text}<= {limit}"
         if entry.get("factor"):
             if factors is None:
                 if not args.factors:
@@ -405,8 +416,7 @@ def _cmd_optimize(args) -> dict:
             label += f" | {entry['factor']}"
         else:
             eff_panel = panel.pnl
-        limits.append(_optimize.RiskLimit(measure, float(entry["limit"]),
-                                          eff_panel, label))
+        limits.append(_optimize.RiskLimit(measure, float(limit), eff_panel, label))
     problem = _optimize.OptimizationProblem(rewards=rewards, limits=limits,
                                             probs=panel.probs)
     sol = _optimize.solve_portfolio(problem, tol=args.tol, max_iter=args.max_iter,
@@ -466,19 +476,27 @@ def _cmd_equilibrium(args) -> dict:
     with open(args.firm) as fh:
         spec = json.load(fh)
     base = os.path.dirname(os.path.abspath(args.firm))
+    desk_spec = _require(spec, "desks", args.firm)
+    limit_spec = _require(spec, "limits", args.firm)
     desks = []
     panels = []
-    for entry in spec["desks"]:
-        p = ingest_panel(os.path.join(base, entry["panel"]))
+    for i, entry in enumerate(desk_spec):
+        where = f"{args.firm}: desks[{i}]"
+        p = ingest_panel(os.path.join(base, _require(entry, "panel", where)))
         cols = entry.get("columns")
         pnl = p.pnl if cols is None else p.pnl[:, [p.column_index(c) for c in cols]]
-        rewards = np.asarray(entry["rewards"], dtype=float)
+        rewards = np.asarray(_require(entry, "rewards", where), dtype=float)
         bounds = np.asarray(entry["bounds"], dtype=float) if entry.get("bounds") else None
         desks.append(_sharing.Desk(panel=pnl, rewards=rewards, bounds=bounds,
                                    name=entry.get("name", f"desk{len(desks)}")))
         panels.append(pnl)
-    measures = [_distortion.parse_measure(e["measure"]) for e in spec["limits"]]
-    limit_vals = np.array([float(e["limit"]) for e in spec["limits"]])
+    texts, limit_vals = [], []
+    for i, entry in enumerate(limit_spec):
+        where = f"{args.firm}: limits[{i}]"
+        texts.append(_require(entry, "measure", where))
+        limit_vals.append(float(_require(entry, "limit", where)))
+    measures = [_distortion.parse_measure(t) for t in texts]
+    limit_vals = np.array(limit_vals)
     if "allocation" in spec:
         allocation = np.asarray(spec["allocation"], dtype=float)
     else:
@@ -487,9 +505,8 @@ def _cmd_equilibrium(args) -> dict:
                                  allocation=allocation)
     stacked = np.hstack(panels)
     rewards = np.concatenate([d.rewards for d in desks])
-    limits = [_optimize.RiskLimit(m, float(c), stacked,
-                                  label=e["measure"]) for m, c, e in
-              zip(measures, limit_vals, spec["limits"])]
+    limits = [_optimize.RiskLimit(m, float(c), stacked, label=t)
+              for m, c, t in zip(measures, limit_vals, texts)]
     problem = _optimize.OptimizationProblem(rewards=rewards, limits=limits)
     sol = _optimize.solve_portfolio(problem, tol=args.tol, max_iter=args.max_iter,
                                     restarts=args.restarts, seed=args.seed)

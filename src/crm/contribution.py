@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distortion import WeightingMeasure
-from .scenario import ScenarioDistribution, weighted_var
+from .scenario import (ScenarioDistribution, _exact_dot, _law_cdf, _rank_blocks,
+                       _scenario_probs, weighted_var)
 
 __all__ = ["ExtremeWeights", "extreme_measure", "risk_contribution",
            "capital_allocation", "tail_correlation", "gaussian_contribution"]
@@ -42,13 +43,7 @@ def _aligned(x, w, probs):
     w = np.asarray(w, dtype=float)
     if x.ndim != 1 or x.shape != w.shape or x.size == 0:
         raise ValueError("x and w must be aligned nonempty 1-d arrays")
-    if probs is None:
-        probs = np.full(x.size, 1.0 / x.size)
-    else:
-        probs = np.asarray(probs, dtype=float)
-        if probs.shape != x.shape:
-            raise ValueError("probs must align with the scenario values")
-    return x, w, probs
+    return x, w, _scenario_probs(x, probs)
 
 
 def extreme_measure(w, probs, measure: WeightingMeasure, anchor: str = "") -> ExtremeWeights:
@@ -60,32 +55,17 @@ def extreme_measure(w, probs, measure: WeightingMeasure, anchor: str = "") -> Ex
     w = np.asarray(w, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise ValueError("w must be a nonempty 1-d array")
-    if probs is None:
-        probs = np.full(w.size, 1.0 / w.size)
-    else:
-        probs = np.asarray(probs, dtype=float)
-        if probs.shape != w.shape:
-            raise ValueError("probs must align with w")
-    order = np.argsort(w, kind="stable")
-    ws, ps = w[order], probs[order]
-    keep = np.empty(ws.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(ws[1:], ws[:-1], out=keep[1:])
-    block = np.cumsum(keep) - 1
-    n_blocks = int(block[-1]) + 1
-    bp = np.zeros(n_blocks)
-    np.add.at(bp, block, ps)
-    cum = np.cumsum(bp)
-    cum[-1] = min(cum[-1], 1.0)
+    probs = _scenario_probs(w, probs)
+    order, block, bp, cum = _rank_blocks(w, probs)
     block_w = np.diff(measure.distortion(cum), prepend=0.0)
     with np.errstate(invalid="ignore", divide="ignore"):
         scale = np.where(bp > 0.0, block_w / bp, 0.0)
     out = np.empty(w.size)
-    out[order] = ps * scale[block]
-    total = float(out.sum())
+    out[order] = probs[order] * scale[block]
+    total = math.fsum(out.tolist())
     if total > 0.0:
         out /= total
-    util = math.fsum([float(q) * float(v) for q, v in zip(out, w)])
+    util = _exact_dot(out, w)
     out.flags.writeable = False
     return ExtremeWeights(weights=out, anchor=anchor, utility=util)
 
@@ -102,12 +82,8 @@ def risk_contribution(x, w, probs, measure: WeightingMeasure) -> float:
     """
     x, w, probs = _aligned(x, w, probs)
     order = np.lexsort((x, w))
-    ps = probs[order]
-    cum = np.cumsum(ps)
-    cum[-1] = min(cum[-1], 1.0)
-    weights = np.diff(measure.distortion(cum), prepend=0.0)
-    xs = x[order]
-    return -math.fsum([float(a) * float(b) for a, b in zip(xs, weights)])
+    weights = np.diff(measure.distortion(_law_cdf(probs[order])), prepend=0.0)
+    return -_exact_dot(x[order], weights)
 
 
 def capital_allocation(components, probs, measure: WeightingMeasure):
@@ -124,13 +100,9 @@ def capital_allocation(components, probs, measure: WeightingMeasure):
     if any(c.ndim != 1 or c.size != t for c in comp):
         raise ValueError("components must be aligned 1-d vectors")
     total = np.sum(comp, axis=0)
-    if probs is None:
-        probs = np.full(t, 1.0 / t)
-    else:
-        probs = np.asarray(probs, dtype=float)
+    probs = _scenario_probs(total, probs)
     q = extreme_measure(total, probs, measure).weights
-    allocs = np.array([-math.fsum([float(a) * float(b) for a, b in zip(q, c)])
-                       for c in comp])
+    allocs = np.array([-_exact_dot(q, c) for c in comp])
     total_risk = weighted_var(ScenarioDistribution(total, probs), measure)
     residual = float(math.fsum(allocs.tolist()) - total_risk)
     return allocs, residual

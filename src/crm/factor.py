@@ -195,23 +195,19 @@ def fit_conditional_mean(y, x, method: str = "auto", *, bandwidth=None,
     raise ValueError(f"unknown regression method {method!r}")
 
 
-def _fitted_values(series, y, method, probs, regressor_kwargs):
+def _fitted_values(series, y, method, regressor_kwargs):
     y = _as_factor_matrix(y)
     series = np.asarray(series, dtype=float)
     if series.shape != (y.shape[0],):
         raise ValueError("series must align with the factor sample")
-    if method == "analytic":
-        reg = fit_conditional_mean(y, series, "analytic", **regressor_kwargs)
-    else:
-        reg = fit_conditional_mean(y, series, method, **regressor_kwargs)
-    return reg.predict(y)
+    return fit_conditional_mean(y, series, method, **regressor_kwargs).predict(y)
 
 
 def factor_risk(series, y, measure: WeightingMeasure, method: str = "auto",
                 probs=None, **regressor_kwargs) -> float:
     """Risk carried by the position through the factor: the risk of the fitted
     conditional mean evaluated on the factor sample."""
-    fitted = _fitted_values(series, y, method, probs, regressor_kwargs)
+    fitted = _fitted_values(series, y, method, regressor_kwargs)
     return weighted_var(ScenarioDistribution(fitted, probs), measure)
 
 
@@ -231,8 +227,8 @@ def factor_contribution(x_series, w_series, y, measure: WeightingMeasure,
         kw_w["fn"] = fn_w if fn_w is not None else fn
     elif fn is not None or fn_w is not None:
         raise ValueError("fn/fn_w are only meaningful with method='analytic'")
-    fx = _fitted_values(x_series, y, method, probs, kw_x)
-    gw = _fitted_values(w_series, y, method, probs, kw_w)
+    fx = _fitted_values(x_series, y, method, kw_x)
+    gw = _fitted_values(w_series, y, method, kw_w)
     return risk_contribution(fx, gw, probs, measure)
 
 

@@ -15,7 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from .contribution import _aligned
 from .distortion import WeightingMeasure
+from .scenario import _exact_dot, _rank_blocks
 
 __all__ = ["MCEstimate", "alpha_var_mc", "beta_var_mc", "alpha_contribution_mc",
            "beta_contribution_mc", "weighted_contribution_empirical"]
@@ -101,32 +103,11 @@ def weighted_contribution_empirical(x, w, probs, measure: WeightingMeasure) -> f
     merged first (x averaged with probability weights), which makes the
     estimate well defined and tie-order invariant.
     """
-    x = np.asarray(x, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if x.shape != w.shape or x.ndim != 1 or x.size == 0:
-        raise ValueError("x and w must be aligned nonempty 1-d arrays")
-    if probs is None:
-        probs = np.full(x.size, 1.0 / x.size)
-    else:
-        probs = np.asarray(probs, dtype=float)
-        if probs.shape != x.shape:
-            raise ValueError("probs must align with x and w")
-    order = np.argsort(w, kind="stable")
-    ws, xs, ps = w[order], x[order], probs[order]
-    # merge blocks of tied w: prob-weighted mean of x, summed probability
-    keep = np.empty(ws.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(ws[1:], ws[:-1], out=keep[1:])
-    idx = np.cumsum(keep) - 1
-    n_blocks = int(idx[-1]) + 1
-    bp = np.zeros(n_blocks)
-    bxp = np.zeros(n_blocks)
-    np.add.at(bp, idx, ps)
-    np.add.at(bxp, idx, ps * xs)
+    x, w, probs = _aligned(x, w, probs)
+    order, block, bp, cum = _rank_blocks(w, probs)
+    # tied w: x averaged with probability weights over the block
+    bxp = np.bincount(block, weights=probs[order] * x[order])
     with np.errstate(invalid="ignore", divide="ignore"):
         bx = np.where(bp > 0.0, bxp / bp, 0.0)
-    cum = np.cumsum(bp)
-    cum[-1] = min(cum[-1], 1.0)
-    dist_cum = measure.distortion(cum)
-    weights = np.diff(dist_cum, prepend=0.0)
-    return -math.fsum([float(a) * float(b) for a, b in zip(bx, weights)])
+    weights = np.diff(measure.distortion(cum), prepend=0.0)
+    return -_exact_dot(bx, weights)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import datetime as _dt
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -99,10 +100,14 @@ def ingest_panel(path, returns: bool = False) -> JointPanel:
             if not cell:
                 raise DataError(f"{path}: row {r_no}, column {names[c_no]!r} is blank")
             try:
-                vals.append(float(cell))
+                val = float(cell)
             except ValueError:
                 raise DataError(
                     f"{path}: row {r_no}, column {names[c_no]!r}: not a number ({cell!r})") from None
+            if not math.isfinite(val):
+                raise DataError(
+                    f"{path}: row {r_no}, column {names[c_no]!r}: not a finite number ({cell!r})")
+            vals.append(val)
         dates.append(date)
         data.append(vals)
     if len(set(dates)) != len(dates):

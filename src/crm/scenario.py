@@ -4,8 +4,10 @@ Conventions, fixed once and derived everywhere else:
 
 * quantiles are right quantiles, ``inf{v : F(v) >= level}``;
 * risk is minus utility, so a sure loss has positive risk;
-* equal values are merged before accumulation, which makes every output
-  invariant (bit for bit) under joint permutations of (values, probs).
+* equal values are merged before accumulation, and a merged block's
+  probabilities are added in an order fixed by their values, which makes
+  every output invariant (bit for bit) under joint permutations of
+  (values, probs).
 """
 
 from __future__ import annotations
@@ -24,6 +26,50 @@ __all__ = ["ScenarioDistribution", "quantile", "tail_var", "weighted_var",
 _PROB_TOL = 1e-12
 
 
+def _exact_dot(a, b) -> float:
+    """Exactly rounded sum of the float64 products a * b."""
+    return math.fsum((a * b).tolist())
+
+
+def _scenario_probs(values: np.ndarray, probs) -> np.ndarray:
+    """probs as a float array aligned with values; None means equal weights."""
+    if probs is None:
+        return np.full(values.size, 1.0 / values.size)
+    probs = np.asarray(probs, dtype=float)
+    if probs.shape != values.shape:
+        raise ValueError("probs must align with the scenario values")
+    return probs
+
+
+def _law_cdf(masses: np.ndarray) -> np.ndarray:
+    """Cumulative sums of a law's ranked masses: rounding may push a partial
+    sum past 1, so they are capped there, and the last one, the total mass,
+    is exactly 1."""
+    cum = np.cumsum(masses)
+    np.minimum(cum, 1.0, out=cum)
+    cum[-1] = 1.0
+    return cum
+
+
+def _rank_blocks(key: np.ndarray, probs: np.ndarray):
+    """Rank scenarios by key and merge exactly equal keys into blocks.
+
+    Returns (order, block, block_probs, cum): the ascending order of key, the
+    block index of each ranked scenario, the block probabilities summed in
+    rank order, and their ``_law_cdf``. Within a block scenarios rank by
+    probability (stable beyond that), so a block's mass is summed in an order
+    fixed by its members rather than by their input positions.
+    """
+    order = np.lexsort((probs, key))
+    ranked = key[order]
+    starts = np.empty(ranked.size, dtype=bool)
+    starts[0] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=starts[1:])
+    block = np.cumsum(starts) - 1
+    block_probs = np.bincount(block, weights=probs[order])
+    return order, block, block_probs, _law_cdf(block_probs)
+
+
 @dataclass(frozen=True, eq=False)
 class ScenarioDistribution:
     """A finite law: P&L values with probabilities summing to one."""
@@ -36,12 +82,7 @@ class ScenarioDistribution:
         values = np.asarray(values, dtype=float)
         if values.ndim != 1 or values.size == 0:
             raise ValueError("values must be a nonempty 1-d sequence")
-        if probs is None:
-            probs = np.full(values.size, 1.0 / values.size)
-        else:
-            probs = np.asarray(probs, dtype=float)
-        if probs.shape != values.shape:
-            raise ValueError("values and probs must have the same length")
+        probs = _scenario_probs(values, probs)
         if np.any(probs < 0.0):
             raise ValueError("probabilities must be nonnegative")
         if abs(float(probs.sum()) - 1.0) > _PROB_TOL:
@@ -60,26 +101,16 @@ class ScenarioDistribution:
         """(distinct sorted values, their merged probabilities, cumulative)."""
         cached = self._sorted
         if cached is None:
-            order = np.argsort(self.values, kind="stable")
-            v = self.values[order]
-            p = self.probs[order]
-            # merge exactly equal values
-            keep = np.empty(v.size, dtype=bool)
-            keep[0] = True
-            np.not_equal(v[1:], v[:-1], out=keep[1:])
-            idx = np.cumsum(keep) - 1
-            merged_v = v[keep]
-            merged_p = np.zeros(merged_v.size)
-            np.add.at(merged_p, idx, p)
-            cum = np.cumsum(merged_p)
-            cum[-1] = 1.0
-            cached = (merged_v, merged_p, cum)
+            order, block, merged_p, cum = _rank_blocks(self.values, self.probs)
+            # each block keeps its first ranked value (0.0 and -0.0 tie)
+            first = np.flatnonzero(np.diff(block, prepend=-1))
+            cached = (self.values[order[first]], merged_p, cum)
             object.__setattr__(self, "_sorted", cached)
         return cached
 
     def mean(self) -> float:
         v, p, _ = self.sorted_support()
-        return math.fsum([float(a) * float(b) for a, b in zip(v, p)])
+        return _exact_dot(v, p)
 
     def __len__(self) -> int:
         return self.values.size
@@ -111,7 +142,7 @@ def tail_var(dist: ScenarioDistribution, level: float) -> float:
     idx = int(np.searchsorted(cum, level - _PROB_TOL, side="left"))
     idx = min(idx, v.size - 1)
     below = cum[idx - 1] if idx > 0 else 0.0
-    terms = [float(v[i]) * float(p[i]) for i in range(idx)]
+    terms = (v[:idx] * p[:idx]).tolist()
     terms.append((level - below) * float(v[idx]))
     return -math.fsum(terms) / level
 
@@ -127,7 +158,7 @@ def weighted_var(dist: ScenarioDistribution, measure: WeightingMeasure) -> float
     v, _, cum = dist.sorted_support()
     dist_cum = measure.distortion(cum)
     weights = np.diff(dist_cum, prepend=0.0)
-    return -math.fsum([float(a) * float(b) for a, b in zip(v, weights)])
+    return -_exact_dot(v, weights)
 
 
 def _order_stat_mix_cdf(z: np.ndarray, a: int, b: int) -> np.ndarray:
@@ -167,4 +198,4 @@ def beta_var_exact(dist: ScenarioDistribution, a: int, b: int) -> float:
     v, _, cum = dist.sorted_support()
     mix_cdf = _order_stat_mix_cdf(cum, a, b)
     weights = np.diff(mix_cdf, prepend=0.0)
-    return -math.fsum([float(x) * float(w) for x, w in zip(v, weights)])
+    return -_exact_dot(v, weights)

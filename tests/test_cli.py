@@ -93,6 +93,13 @@ class TestIngest:
         with pytest.raises(DataError, match="not a number"):
             ingest_panel(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_cell_names_file_row_and_column(self, tmp_path, cell):
+        path = tmp_path / "t.csv"
+        path.write_text(f"date,A,B\n2025-01-01,1.0,2.0\n2025-01-02,3.0,{cell}\n")
+        with pytest.raises(DataError, match=r"t\.csv: row 3, column 'B': not a finite"):
+            ingest_panel(path)
+
 
 class TestEstimate:
     def test_exact_tail_matches_library(self, panel_csv, capsys):
@@ -210,6 +217,68 @@ class TestAnnounceContrib:
         assert rep["contribution"] == pytest.approx(want, abs=1e-12)
 
 
+class TestTrialCount:
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--measure", "alpha:8", "--scheme", "uniform:300"],
+        ["estimate", "--measure", "tail:0.1", "--scheme", "uniform:300"],
+        ["announce", "--measure", "alpha:8", "--scheme", "uniform:300"],
+        ["contrib", "--firm", "FIRM", "--measure", "alpha:8", "--scheme", "uniform:300"],
+    ])
+    @pytest.mark.parametrize("trials", [1, -3])
+    def test_fewer_than_two_trials_rejected(self, panel_csv, argv, trials, capsys):
+        argv = [str(panel_csv) if a == "FIRM" else a for a in argv]
+        code = cli.run_command(argv + ["--input", str(panel_csv), "--trials", str(trials),
+                                       "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "--trials" in captured.err
+
+    def test_announce_file_with_one_trial_rejected(self, tmp_path, panel_csv,
+                                                   trade_csv, capsys):
+        ann = tmp_path / "a.json"
+        code, _ = run(capsys, ["announce", "--input", panel_csv, "--measure", "alpha:8",
+                               "--scheme", "uniform:300", "--trials", 2, "--seed", 11,
+                               "--out", ann])
+        assert code == 0
+        payload = json.loads(ann.read_text())
+        payload.update(trials=1, indices=payload["indices"][:1],
+                       selected=payload["selected"][:1])
+        ann.write_text(json.dumps(payload))
+        code = cli.run_command(["contrib", "--input", str(trade_csv), "--announced",
+                                str(ann), "--seed", "11"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "a.json" in captured.err and "2" in captured.err
+
+    def test_two_trial_reports_are_strict_json(self, tmp_path, panel_csv, trade_csv,
+                                               capsys):
+        def strict(text):
+            def reject(token):
+                raise ValueError(token)
+            return json.loads(text, parse_constant=reject)
+
+        ann = tmp_path / "a.json"
+        argvs = [
+            ["estimate", "--input", panel_csv, "--measure", "beta:6,2",
+             "--scheme", "uniform:300", "--trials", 2, "--seed", 3],
+            ["announce", "--input", panel_csv, "--measure", "beta:6,2",
+             "--scheme", "uniform:300", "--trials", 2, "--seed", 3, "--out", ann],
+            ["contrib", "--input", trade_csv, "--announced", ann, "--seed", 3],
+            ["contrib", "--input", trade_csv, "--firm", panel_csv, "--measure", "beta:6,2",
+             "--scheme", "uniform:300", "--trials", 2, "--seed", 3],
+        ]
+        reports = []
+        for argv in argvs:
+            assert cli.run_command([str(a) for a in argv]) == 0
+            reports.append(strict(capsys.readouterr().out))
+        announced, inprocess = reports[2], reports[3]
+        assert announced["trials"] == inprocess["trials"] == 2
+        assert announced["contribution"] == inprocess["contribution"]
+        assert announced["std_error"] == inprocess["std_error"]
+
+
 class TestAllocate:
     def test_contributions_sum_to_total(self, panel_csv, capsys):
         code, rep = run(capsys, ["allocate", "--input", panel_csv,
@@ -255,6 +324,22 @@ class TestFactorJoint:
 
 
 class TestOptimizeCommand:
+    @pytest.mark.parametrize("key", ["measure", "limit"])
+    def test_missing_limit_key_names_file_and_key(self, tmp_path, capsys, key):
+        ppath = tmp_path / "panel.csv"
+        write_panel(ppath, ["A"], [[1.0], [-1.0], [0.5]])
+        rpath = tmp_path / "rewards.csv"
+        rpath.write_text("asset,reward\nA,1.0\n")
+        entry = {"measure": "tail:0.5", "limit": 1.0}
+        del entry[key]
+        lpath = tmp_path / "limits.json"
+        lpath.write_text(json.dumps([{"measure": "tail:0.5", "limit": 2.0}, entry]))
+        code = cli.run_command(["optimize", "--panel", str(ppath), "--rewards", str(rpath),
+                                "--limits", str(lpath), "--seed", "1"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert str(lpath) in err and "entry 1" in err and repr(key) in err
+
     def test_factor_mapped_limit(self, tmp_path, capsys):
         rng = np.random.default_rng(10)
         t = 1500
@@ -297,6 +382,28 @@ class TestOptimizeCommand:
 
 
 class TestEquilibriumCommand:
+    @pytest.mark.parametrize("path, key", [
+        ((), "desks"), ((), "limits"),
+        (("desks", 0), "panel"), (("desks", 1), "rewards"),
+        (("limits", 0), "measure"), (("limits", 0), "limit"),
+    ])
+    def test_missing_key_names_file_and_key(self, tmp_path, capsys, path, key):
+        write_panel(tmp_path / "d.csv", ["A", "B"], [[1.0, 2.0], [-1.0, 0.5]])
+        firm = {"desks": [
+                    {"name": "d1", "panel": "d.csv", "columns": ["A"], "rewards": [1.0]},
+                    {"name": "d2", "panel": "d.csv", "columns": ["B"], "rewards": [1.0]}],
+                "limits": [{"measure": "tail:0.5", "limit": 1.0}]}
+        entry = firm
+        for step in path:
+            entry = entry[step]
+        del entry[key]
+        fpath = tmp_path / "firm.json"
+        fpath.write_text(json.dumps(firm))
+        code = cli.run_command(["equilibrium", "--firm", str(fpath), "--seed", "1"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert str(fpath) in err and repr(key) in err
+
     def test_full_pipeline(self, tmp_path, capsys):
         rng = np.random.default_rng(7)
         write_panel(tmp_path / "d.csv", ["A", "B"],
