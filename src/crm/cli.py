@@ -15,6 +15,7 @@ fixed arrays without re-estimating.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 import time
@@ -30,12 +31,13 @@ from . import sampling as _sampling
 from . import sharing as _sharing
 from .contribution import capital_allocation, tail_correlation
 from .errors import CrmError, DataError
-from .panel import JointPanel, ingest_panel
+from .panel import JointPanel, _number, align, ingest_panel
 from .scenario import ScenarioDistribution, tail_var, weighted_var
 
 __all__ = ["main", "run_command"]
 
 ANNOUNCE_SCHEMA = "crm.announce/1"
+_NO_TRIAL_PROBS = "panel probability weights are not supported with --trials"
 
 
 # ---------------------------------------------------------------------------
@@ -49,18 +51,14 @@ def _sanitize(obj):
         return [_sanitize(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return _sanitize(obj.tolist())
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+    if isinstance(obj, np.generic):
+        return obj.item()
     return obj
 
 
 def _emit(report: dict, stream=None) -> None:
-    stream = stream or sys.stdout
-    stream.write(json.dumps(_sanitize(report), sort_keys=True, indent=2) + "\n")
+    text = json.dumps(_sanitize(report), sort_keys=True, indent=2, allow_nan=False)
+    (stream or sys.stdout).write(text + "\n")
 
 
 def _mc_orders(measure_text: str):
@@ -132,25 +130,40 @@ def _draw_values(series, scheme, seed, trials, draws_per_trial, standardize):
     return draws, _sampling.materialize(draws, eff), eff
 
 
-def _base_report(args, extra: dict) -> dict:
-    report = {"command": list(args.echo)}
-    report.update(extra)
-    return report
+def _probs_on(panel: JointPanel, rows, path):
+    """The panel's prob weights on `rows`, renormalised; None without a prob column."""
+    if panel.probs is None:
+        return None
+    w = panel.probs[rows]
+    if not w.sum() > 0.0:
+        raise DataError(f"{path}: probability weights sum to zero on the dates in use")
+    return w / w.sum()
 
 
 def _load_aligned(path_a, path_b, columns_a, columns_b, returns: bool):
-    """Two panels joined on common dates, most recent first."""
+    """Two panel series on their common dates, most recent first, and the prob
+    weights of whichever panel has them (if both do, they must agree)."""
     pa = ingest_panel(path_a, returns=returns)
     pb = ingest_panel(path_b, returns=returns)
-    common = [d for d in pa.dates if d in set(pb.dates)]
-    if not common:
+    ia, ib = align(pa.dates, pb.dates)
+    if ia.size == 0:
         raise DataError(f"{path_a} and {path_b} share no dates")
-    ia = [pa.dates.index(d) for d in common]
-    ib = [pb.dates.index(d) for d in common]
-    sa = pa.series(columns_a)[ia]
-    sb = pb.series(columns_b)[ib]
-    probs = pa.probs[ia] / pa.probs[ia].sum() if pa.probs is not None else None
-    return sa, sb, probs, common
+    probs, probs_b = _probs_on(pa, ia, path_a), _probs_on(pb, ib, path_b)
+    if probs is None:
+        probs = probs_b
+    elif probs_b is not None and not np.allclose(probs, probs_b, rtol=1e-12, atol=0.0):
+        raise DataError(f"{path_a} and {path_b} carry different probability weights "
+                        "on their common dates")
+    return pa.series(columns_a)[ia], pb.series(columns_b)[ib], probs
+
+
+def _cover(dates, source, panel: JointPanel, path) -> np.ndarray:
+    """Rows of `panel` (read from `path`) for every one of `dates` (from `source`)."""
+    ia, ib = align(dates, panel.dates)
+    if ia.size < len(dates):
+        first = dates[np.setdiff1d(np.arange(len(dates)), ia)[0]]
+        raise DataError(f"{path} is missing date {first!r} of {source}")
+    return ib
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +171,6 @@ def _load_aligned(path_a, path_b, columns_a, columns_b, returns: bool):
 # ---------------------------------------------------------------------------
 
 def _cmd_estimate(args) -> dict:
-    t0 = time.perf_counter()
     if args.trials:
         _check_trials(args.trials)
     panel = ingest_panel(args.input, returns=args.returns)
@@ -170,7 +182,7 @@ def _cmd_estimate(args) -> dict:
            "periods": panel.periods}
     if args.trials:
         if panel.probs is not None:
-            raise DataError("panel probability weights are not supported with --trials")
+            raise DataError(_NO_TRIAL_PROBS)
         if orders is not None:
             a, b = orders
             draws, values, eff = _draw_values(series, scheme, args.seed,
@@ -192,13 +204,12 @@ def _cmd_estimate(args) -> dict:
         if panel.probs is not None:
             if probs is not None:
                 raise DataError("panel probability weights conflict with a weighting scheme")
-            probs = panel.probs[:eff.size] / panel.probs[:eff.size].sum()
+            probs = _probs_on(panel, slice(eff.size), args.input)
         plot_dist = ScenarioDistribution(eff, probs)
         out.update(estimate=weighted_var(plot_dist, measure), method="exact")
     if args.emit_plot_data and plot_dist is not None:
         _write_plot_data(args.emit_plot_data, plot_dist)
-    out["timings"] = {"seconds": time.perf_counter() - t0}
-    return _base_report(args, out)
+    return out
 
 
 def _write_plot_data(prefix: str, dist: ScenarioDistribution) -> None:
@@ -215,7 +226,6 @@ def _write_plot_data(prefix: str, dist: ScenarioDistribution) -> None:
 
 
 def _cmd_announce(args) -> dict:
-    t0 = time.perf_counter()
     _check_trials(args.trials)
     panel = ingest_panel(args.input, returns=args.returns)
     series = panel.series(_columns_arg(args.columns))
@@ -237,24 +247,18 @@ def _cmd_announce(args) -> dict:
     }
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(json.dumps(_sanitize(payload), sort_keys=True, indent=2) + "\n")
-    out = dict(payload)
-    out["timings"] = {"seconds": time.perf_counter() - t0}
-    return _base_report(args, out)
+            _emit(payload, fh)
+    return payload
 
 
 def _cmd_contrib(args) -> dict:
-    t0 = time.perf_counter()
     if args.trials:
         _check_trials(args.trials)
     if args.announced:
-        out = _contrib_announced(args)
-    elif args.firm:
-        out = _contrib_inprocess(args)
-    else:
-        raise DataError("contrib needs either --announced or --firm")
-    out["timings"] = {"seconds": time.perf_counter() - t0}
-    return _base_report(args, out)
+        return _contrib_announced(args)
+    if args.firm:
+        return _contrib_inprocess(args)
+    raise DataError("contrib needs either --announced or --firm")
 
 
 def _contrib_announced(args) -> dict:
@@ -292,20 +296,16 @@ def _contrib_announced(args) -> dict:
 
 def _contrib_inprocess(args) -> dict:
     measure = _distortion.parse_measure(args.measure)
-    orders = _mc_orders(args.measure)
+    x_series, w_series, probs = _load_aligned(
+        args.input, args.firm, _columns_arg(args.columns),
+        _columns_arg(args.firm_columns), args.returns)
     if args.trials:
+        orders = _mc_orders(args.measure)
         if orders is None:
             raise DataError("Monte Carlo contribution needs alpha:A or beta:A,B")
+        if probs is not None:
+            raise DataError(_NO_TRIAL_PROBS)
         a, b = orders
-        trade = ingest_panel(args.input, returns=args.returns)
-        firm = ingest_panel(args.firm, returns=args.returns)
-        common = [d for d in firm.dates if d in set(trade.dates)]
-        if not common:
-            raise DataError("firm and trade panels share no dates")
-        fi = [firm.dates.index(d) for d in common]
-        ti = [trade.dates.index(d) for d in common]
-        w_series = firm.series(_columns_arg(args.firm_columns))[fi]
-        x_series = trade.series(_columns_arg(args.columns))[ti]
         scheme = _sampling.parse_scheme(args.scheme)
         draws, w_vals, eff_w = _draw_values(w_series, scheme, args.seed, args.trials, a,
                                             args.standardize)
@@ -318,9 +318,6 @@ def _contrib_inprocess(args) -> dict:
                 "trials": est.trials, "contribution": est.value,
                 "std_error": est.std_error, "firm_risk": firm_est.value,
                 "firm_risk_std_error": firm_est.std_error, "method": "monte-carlo"}
-    x_series, w_series, probs, _ = _load_aligned(
-        args.input, args.firm, _columns_arg(args.columns),
-        _columns_arg(args.firm_columns), args.returns)
     value = _mc.weighted_contribution_empirical(x_series, w_series, probs, measure)
     firm_risk = weighted_var(ScenarioDistribution(w_series, probs), measure)
     return {"measure": args.measure, "seed": args.seed, "contribution": value,
@@ -339,14 +336,11 @@ def _parse_regression(text: str):
 
 
 def _cmd_factor(args) -> dict:
-    t0 = time.perf_counter()
     panel = ingest_panel(args.input, returns=args.returns)
     factors = ingest_panel(args.factors)
-    common = [d for d in panel.dates if d in set(factors.dates)]
-    if not common:
-        raise DataError("panel and factor file share no dates")
-    pi = [panel.dates.index(d) for d in common]
-    fi = [factors.dates.index(d) for d in common]
+    pi, fi = align(panel.dates, factors.dates)
+    if pi.size == 0:
+        raise DataError(f"{args.input} and {args.factors} share no dates")
     w_series = panel.series(_columns_arg(args.columns))[pi]
     measure = _distortion.parse_measure(args.measure)
     reg = _parse_regression(args.regression)
@@ -354,15 +348,11 @@ def _cmd_factor(args) -> dict:
     trade_series = None
     if args.trade:
         trade = ingest_panel(args.trade, returns=args.returns)
-        ti = []
-        for d in common:
-            if d not in trade.dates:
-                raise DataError(f"trade panel is missing date {d}")
-            ti.append(trade.dates.index(d))
+        ti = _cover([panel.dates[i] for i in pi], args.input, trade, args.trade)
         trade_series = trade.series(_columns_arg(args.trade_columns))[ti]
     rows = []
-    for name in factors.assets:
-        y = factors.pnl[fi, factors.assets.index(name)]
+    for j, name in enumerate(factors.assets):
+        y = factors.pnl[fi, j]
         row = {"factor": name,
                "factor_risk": _factor.factor_risk(w_series, y, measure,
                                                   method=method, **reg)}
@@ -378,12 +368,10 @@ def _cmd_factor(args) -> dict:
         if trade_series is not None:
             out["joint_factor_contribution"] = _factor.factor_contribution(
                 trade_series, w_series, y, measure, method=method, **reg)
-    out["timings"] = {"seconds": time.perf_counter() - t0}
-    return _base_report(args, out)
+    return out
 
 
 def _cmd_optimize(args) -> dict:
-    t0 = time.perf_counter()
     panel = ingest_panel(args.panel, returns=args.returns)
     rewards = _read_rewards(args.rewards, panel)
     with open(args.limits) as fh:
@@ -405,11 +393,12 @@ def _cmd_optimize(args) -> dict:
                 if not args.factors:
                     raise DataError("factor-mapped limits need --factors")
                 factors = ingest_panel(args.factors)
-                common = [d for d in panel.dates if d in set(factors.dates)]
-                if list(common) != list(panel.dates):
-                    raise DataError("factor file must cover every panel date")
-                fidx = [factors.dates.index(d) for d in panel.dates]
-            y = factors.pnl[fidx, factors.assets.index(entry["factor"])]
+                fidx = _cover(panel.dates, args.panel, factors, args.factors)
+            try:
+                col = factors.column_index(entry["factor"])
+            except DataError as exc:
+                raise DataError(f"{where}: {args.factors}: {exc}") from None
+            y = factors.pnl[fidx, col]
             cols = [_factor.fit_conditional_mean(y, panel.pnl[:, j], method, **reg)
                     .predict(y[:, None]) for j in range(panel.pnl.shape[1])]
             eff_panel = np.column_stack(cols)
@@ -421,23 +410,22 @@ def _cmd_optimize(args) -> dict:
                                             probs=panel.probs)
     sol = _optimize.solve_portfolio(problem, tol=args.tol, max_iter=args.max_iter,
                                     restarts=args.restarts, seed=args.seed)
-    out = {"seed": args.seed,
-           "holdings": {a: h for a, h in zip(panel.assets, sol.h)},
-           "objective": sol.objective,
-           "risks": {limits[i].label: sol.risks[i] for i in range(len(limits))},
-           "binding": [limits[i].label for i in sol.binding],
-           "converged": sol.converged, "iterations": sol.iterations,
-           "timings": {"seconds": time.perf_counter() - t0}}
-    return _base_report(args, out)
+    return {"seed": args.seed,
+            "holdings": {a: h for a, h in zip(panel.assets, sol.h)},
+            "objective": sol.objective,
+            "risks": {limits[i].label: sol.risks[i] for i in range(len(limits))},
+            "binding": [limits[i].label for i in sol.binding],
+            "converged": sol.converged, "iterations": sol.iterations}
 
 
 def _read_rewards(path: str, panel: JointPanel) -> np.ndarray:
-    import csv as _csv
     with open(path, newline="") as fh:
-        rows = [r for r in _csv.reader(fh) if r and any(c.strip() for c in r)]
+        rows = [r for r in csv.reader(fh) if r and any(c.strip() for c in r)]
     if not rows or [c.strip() for c in rows[0]] != ["asset", "reward"]:
         raise DataError(f"{path}: expected header 'asset,reward'")
-    table = {r[0].strip(): float(r[1]) for r in rows[1:]}
+    # a row without a reward cell reads as a blank one
+    table = {row[0].strip(): _number(row[1] if len(row) > 1 else "", path, r_no, "reward")
+             for r_no, row in enumerate(rows[1:], start=2)}
     missing = [a for a in panel.assets if a not in table]
     if missing:
         raise DataError(f"{path}: missing rewards for {missing}")
@@ -445,34 +433,27 @@ def _read_rewards(path: str, panel: JointPanel) -> np.ndarray:
 
 
 def _cmd_allocate(args) -> dict:
-    t0 = time.perf_counter()
     panel = ingest_panel(args.input, returns=args.returns)
     measure = _distortion.parse_measure(args.measure)
     components = [panel.pnl[:, j] for j in range(panel.pnl.shape[1])]
     allocs, residual = capital_allocation(components, panel.probs, measure)
     total = weighted_var(ScenarioDistribution(panel.series(), panel.probs), measure)
-    return _base_report(args, {
-        "measure": args.measure,
-        "allocations": {a: v for a, v in zip(panel.assets, allocs)},
-        "total_risk": total, "residual": residual,
-        "timings": {"seconds": time.perf_counter() - t0}})
+    return {"measure": args.measure,
+            "allocations": {a: v for a, v in zip(panel.assets, allocs)},
+            "total_risk": total, "residual": residual}
 
 
 def _cmd_kappa(args) -> dict:
-    t0 = time.perf_counter()
     measure = _distortion.parse_measure(args.measure)
-    x_series, w_series, probs, _ = _load_aligned(
+    x_series, w_series, probs = _load_aligned(
         args.input, args.firm, _columns_arg(args.columns),
         _columns_arg(args.firm_columns), args.returns)
     value = tail_correlation(x_series, w_series, probs, measure)
-    return _base_report(args, {
-        "measure": args.measure, "tail_correlation": value,
-        "timings": {"seconds": time.perf_counter() - t0}})
+    return {"measure": args.measure, "tail_correlation": value}
 
 
 def _cmd_equilibrium(args) -> dict:
     import os
-    t0 = time.perf_counter()
     with open(args.firm) as fh:
         spec = json.load(fh)
     base = os.path.dirname(os.path.abspath(args.firm))
@@ -510,31 +491,25 @@ def _cmd_equilibrium(args) -> dict:
     problem = _optimize.OptimizationProblem(rewards=rewards, limits=limits)
     sol = _optimize.solve_portfolio(problem, tol=args.tol, max_iter=args.max_iter,
                                     restarts=args.restarts, seed=args.seed)
-    holdings = []
-    at = 0
-    for d in desks:
-        holdings.append(sol.h[at:at + d.rewards.size])
-        at += d.rewards.size
+    holdings = np.split(sol.h, np.cumsum([d.rewards.size for d in desks])[:-1])
     prices, residual, risks = _sharing.equilibrium_prices(firm, holdings,
                                                           binding_tol=1e-3)
     trades = _sharing.limit_trades(firm, holdings)
     report = _sharing.verify_equilibrium(firm, holdings, trades, prices,
                                          binding_tol=1e-3)
-    out = {"seed": args.seed, "objective": sol.objective,
-           "holdings": {d.name: h for d, h in zip(desks, holdings)},
-           "prices": prices, "reward_residual": residual,
-           "risks": risks, "trades": trades,
-           "verification": {
-               "trades_zero_sum": report.trades_zero_sum,
-               "feasible": report.feasible,
-               "some_binding": report.some_binding,
-               "complementary_slackness": report.complementary_slackness,
-               "max_desk_improvement": report.max_desk_improvement,
-               "boundary_contact": list(report.boundary_contact),
-               "total_net_reward": report.total_net_reward,
-           },
-           "timings": {"seconds": time.perf_counter() - t0}}
-    return _base_report(args, out)
+    return {"seed": args.seed, "objective": sol.objective,
+            "holdings": {d.name: h for d, h in zip(desks, holdings)},
+            "prices": prices, "reward_residual": residual,
+            "risks": risks, "trades": trades,
+            "verification": {
+                "trades_zero_sum": report.trades_zero_sum,
+                "feasible": report.feasible,
+                "some_binding": report.some_binding,
+                "complementary_slackness": report.complementary_slackness,
+                "max_desk_improvement": report.max_desk_improvement,
+                "boundary_contact": list(report.boundary_contact),
+                "total_net_reward": report.total_net_reward,
+            }}
 
 
 # ---------------------------------------------------------------------------
@@ -639,16 +614,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run_command(argv) -> int:
-    """Parse argv, run the subcommand, print its JSON report to stdout."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    args.echo = list(argv)
+    """Parse argv, run the subcommand, print {"command": argv, **its report,
+    "timings": ...} as JSON to stdout."""
+    args = _build_parser().parse_args(argv)
     try:
-        report = args.fn(args)
+        t0 = time.perf_counter()
+        _emit({"command": list(argv), **args.fn(args),
+               "timings": {"seconds": time.perf_counter() - t0}})
     except (CrmError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"crm: error: {exc}\n")
         return 1
-    _emit(report)
     return 0
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DataError
 
-__all__ = ["JointPanel", "ingest_panel"]
+__all__ = ["JointPanel", "align", "ingest_panel"]
 
 _PROB_COLUMN = "prob"
 
@@ -64,6 +64,33 @@ def _sort_key(raw: str):
         return (1, raw)
 
 
+def _number(cell: str, path, r_no: int, column: str) -> float:
+    """A finite float cell, or a DataError naming the file, row and column."""
+    cell = cell.strip()
+    where = f"{path}: row {r_no}, column {column!r}"
+    if not cell:
+        raise DataError(f"{where} is blank")
+    try:
+        val = float(cell)
+    except ValueError:
+        raise DataError(f"{where}: not a number ({cell!r})") from None
+    if not math.isfinite(val):
+        raise DataError(f"{where}: not a finite number ({cell!r})")
+    return val
+
+
+def align(dates_a, dates_b):
+    """Row indices (ia, ib) of the dates both sequences hold, in dates_a's order.
+
+    Dates are matched as strings; each sequence holds a date at most once.
+    One dict over dates_b, so O(T_a + T_b).
+    """
+    row_b = {d: j for j, d in enumerate(dates_b)}
+    ia = [i for i, d in enumerate(dates_a) if d in row_b]
+    ib = [row_b[dates_a[i]] for i in ia]
+    return np.asarray(ia, dtype=np.int64), np.asarray(ib, dtype=np.int64)
+
+
 def ingest_panel(path, returns: bool = False) -> JointPanel:
     """Load a CSV panel; see the module docstring for the expected layout."""
     try:
@@ -80,40 +107,34 @@ def ingest_panel(path, returns: bool = False) -> JointPanel:
     names = header[1:]
     if not names:
         raise DataError(f"{path}: no asset columns")
-    prob_idx = None
-    if _PROB_COLUMN in names:
-        prob_idx = names.index(_PROB_COLUMN)
+    prob_idx = names.index(_PROB_COLUMN) if _PROB_COLUMN in names else None
     body = rows[1:]
     if not body:
         raise DataError(f"{path}: no data rows")
-    dates = []
-    data = []
+    dates, keys, data = [], [], []
+    seen = {}  # sort key -> (row number, date text)
     for r_no, row in enumerate(body, start=2):
         if len(row) != len(header):
             raise DataError(f"{path}: row {r_no} has {len(row)} cells, expected {len(header)}")
         date = row[0].strip()
         if not date:
             raise DataError(f"{path}: row {r_no}, column 'date' is blank")
-        vals = []
-        for c_no, cell in enumerate(row[1:]):
-            cell = cell.strip()
-            if not cell:
-                raise DataError(f"{path}: row {r_no}, column {names[c_no]!r} is blank")
-            try:
-                val = float(cell)
-            except ValueError:
-                raise DataError(
-                    f"{path}: row {r_no}, column {names[c_no]!r}: not a number ({cell!r})") from None
-            if not math.isfinite(val):
-                raise DataError(
-                    f"{path}: row {r_no}, column {names[c_no]!r}: not a finite number ({cell!r})")
-            vals.append(val)
+        try:
+            vals = [float(cell) for cell in row[1:]]
+        except ValueError:
+            vals = [math.nan]
+        if not all(map(math.isfinite, vals)):  # cell by cell, to name the bad one
+            vals = [_number(cell, path, r_no, name) for name, cell in zip(names, row[1:])]
+        key = _sort_key(date)
+        if key in seen:
+            first, text = seen[key]
+            raise DataError(f"{path}: rows {first} and {r_no} are duplicate dates "
+                            f"({text!r}, {date!r})")
+        seen[key] = r_no, date
         dates.append(date)
+        keys.append(key)
         data.append(vals)
-    if len(set(dates)) != len(dates):
-        dup = sorted({d for d in dates if dates.count(d) > 1})
-        raise DataError(f"{path}: duplicate dates {dup}")
-    order = sorted(range(len(dates)), key=lambda i: _sort_key(dates[i]), reverse=True)
+    order = sorted(range(len(dates)), key=keys.__getitem__, reverse=True)
     dates = [dates[i] for i in order]
     mat = np.asarray(data, dtype=float)[order]
     probs = None

@@ -2,6 +2,8 @@
 
 import csv
 import json
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -100,6 +102,14 @@ class TestIngest:
         with pytest.raises(DataError, match=r"t\.csv: row 3, column 'B': not a finite"):
             ingest_panel(path)
 
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="date.fromisoformat reads 20200102 from Python 3.11 on")
+    def test_same_day_in_two_spellings_rejected(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("date,A\n2020-01-01,0.5\n2020-01-02,1.0\n20200102,2.0\n")
+        with pytest.raises(DataError, match=r"t\.csv: rows 3 and 4 .*'2020-01-02', '20200102'"):
+            ingest_panel(path)
+
 
 class TestEstimate:
     def test_exact_tail_matches_library(self, panel_csv, capsys):
@@ -156,6 +166,16 @@ class TestEstimate:
                                 "--measure", "tail:0.25", "--scheme",
                                 "bootstrap:4", "--seed", "1"])
         assert code == 1
+
+    def test_zero_weight_window_names_file(self, tmp_path, capsys):
+        path = tmp_path / "z.csv"
+        path.write_text("date,A,prob\n2025-01-01,1.0,1\n2025-01-02,-2.0,0\n"
+                        "2025-01-03,3.0,0\n")
+        code = cli.run_command(["estimate", "--input", str(path), "--measure", "tail:0.5",
+                                "--scheme", "uniform:2", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert f"{path}: probability weights sum to zero on the dates in use" in captured.err
 
     def test_emit_plot_data(self, panel_csv, tmp_path, capsys):
         prefix = str(tmp_path / "plots")
@@ -380,6 +400,42 @@ class TestOptimizeCommand:
         assert rep["binding"] == ["tail:0.5<= 1.0"]
         assert rep["objective"] > 0.0
 
+    def _inputs(self, tmp_path, rewards="asset,reward\nA,1.0\n", factor=None):
+        ppath = tmp_path / "panel.csv"
+        write_panel(ppath, ["A"], [[1.0], [-1.0], [0.5]])
+        fpath = tmp_path / "factors.csv"
+        write_panel(fpath, ["Y"], [[0.5], [-0.5], [0.25]])
+        rpath = tmp_path / "rewards.csv"
+        rpath.write_text(rewards)
+        lpath = tmp_path / "limits.json"
+        entry = {"measure": "tail:0.5", "limit": 1.0}
+        if factor:
+            entry["factor"] = factor
+        lpath.write_text(json.dumps([{"measure": "tail:0.5", "limit": 2.0}, entry]))
+        return ["optimize", "--panel", str(ppath), "--rewards", str(rpath),
+                "--limits", str(lpath), "--factors", str(fpath), "--restarts", "1",
+                "--max-iter", "20", "--seed", "1"]
+
+    def test_unknown_factor_column_names_file_entry_and_column(self, tmp_path, capsys):
+        code = cli.run_command(self._inputs(tmp_path, factor="Z"))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "limits.json: entry 1" in err and "factors.csv" in err and "'Z'" in err
+
+    @pytest.mark.parametrize("rewards, where", [
+        ("asset,reward\nA\n", r"rewards\.csv: row 2, column 'reward' is blank"),
+        ("asset,reward\nA,lots\n", r"rewards\.csv: row 2, column 'reward': not a number"),
+        ("asset,reward\nB,1.0\nA,nan\n",
+         r"rewards\.csv: row 3, column 'reward': not a finite number"),
+        ("asset,reward\nA, \n", r"rewards\.csv: row 2, column 'reward' is blank"),
+    ])
+    def test_bad_reward_row_names_file_row_and_column(self, tmp_path, capsys,
+                                                      rewards, where):
+        code = cli.run_command(self._inputs(tmp_path, rewards=rewards))
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert re.search(where, captured.err), captured.err
+
 
 class TestEquilibriumCommand:
     @pytest.mark.parametrize("path, key", [
@@ -420,6 +476,140 @@ class TestEquilibriumCommand:
         v = rep["verification"]
         assert v["trades_zero_sum"] and v["feasible"] and v["some_binding"]
         assert len(rep["prices"]) == 1 and rep["prices"][0] > 0.0
+
+
+class TestScenarioWeights:
+    """contrib and kappa take prob weights from whichever panel has them."""
+
+    FIRM = "date,A,prob\n2025-01-01,1.0,1\n2025-01-02,-2.0,0\n2025-01-03,3.0,0\n" \
+           "2025-01-04,-1.0,1\n"
+
+    def _trade(self, tmp_path, probs=None):
+        path = tmp_path / "x.csv"
+        rows = [f"2025-01-0{i + 1},{v}" for i, v in enumerate([-1.5, 1.5, -0.5, 0.5])]
+        if probs is not None:
+            rows = [f"{r},{p}" for r, p in zip(rows, probs)]
+        path.write_text(("date,X,prob\n" if probs else "date,X\n") + "\n".join(rows) + "\n")
+        return path
+
+    def test_firm_weights_are_used(self, tmp_path, capsys):
+        firm = tmp_path / "firm.csv"
+        firm.write_text(self.FIRM)
+        trade = self._trade(tmp_path)
+        _, est = run(capsys, ["estimate", "--input", firm, "--measure", "tail:0.5",
+                              "--seed", 1])
+        code, rep = run(capsys, ["contrib", "--input", trade, "--firm", firm,
+                                 "--measure", "tail:0.5", "--seed", 1])
+        assert code == 0
+        assert rep["firm_risk"] == est["estimate"] == 1.0
+        code, kap = run(capsys, ["kappa", "--input", trade, "--firm", firm,
+                                 "--measure", "tail:0.5"])
+        assert code == 0
+        probs = ingest_panel(firm).probs
+        from crm.contribution import tail_correlation
+        want = tail_correlation(ingest_panel(trade).series(), ingest_panel(firm).series(),
+                                probs, D.tail(0.5))
+        assert kap["tail_correlation"] == want
+
+    def test_agreeing_weights_in_both_panels(self, tmp_path, capsys):
+        firm = tmp_path / "firm.csv"
+        firm.write_text(self.FIRM)
+        code, rep = run(capsys, ["contrib", "--input", self._trade(tmp_path, [3, 0, 0, 3]),
+                                 "--firm", firm, "--measure", "tail:0.5", "--seed", 1])
+        assert code == 0 and rep["firm_risk"] == 1.0
+
+    @pytest.mark.parametrize("command", ["contrib", "kappa"])
+    def test_conflicting_weights_name_both_files(self, tmp_path, capsys, command):
+        firm = tmp_path / "firm.csv"
+        firm.write_text(self.FIRM)
+        trade = self._trade(tmp_path, [1, 1, 1, 1])
+        argv = [command, "--input", str(trade), "--firm", str(firm), "--measure", "tail:0.5"]
+        code = cli.run_command(argv + (["--seed", "1"] if command == "contrib" else []))
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert str(trade) in captured.err and str(firm) in captured.err
+
+    def test_zero_weight_on_every_common_date(self, tmp_path, capsys):
+        firm = tmp_path / "firm.csv"
+        firm.write_text(self.FIRM)
+        trade = tmp_path / "x.csv"
+        trade.write_text("date,X\n2025-01-02,1.0\n2025-01-03,-1.0\n")
+        code = cli.run_command(["kappa", "--input", str(trade), "--firm", str(firm),
+                                "--measure", "tail:0.5"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert f"{firm}: probability weights sum to zero on the dates in use" in captured.err
+
+    def test_weights_rejected_with_trials(self, tmp_path, capsys):
+        firm = tmp_path / "firm.csv"
+        firm.write_text(self.FIRM)
+        code = cli.run_command(["contrib", "--input", str(self._trade(tmp_path)),
+                                "--firm", str(firm), "--measure", "alpha:2",
+                                "--trials", "50", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "panel probability weights are not supported with --trials" in captured.err
+
+
+class TestJoinErrors:
+    DATES = ["2025-01-01", "2025-01-02", "2025-01-03"]
+    LATER = ["2026-01-01", "2026-01-02", "2026-01-03"]
+
+    def _panel(self, tmp_path, name, dates, cols=("A",)):
+        path = tmp_path / name
+        write_panel(path, cols, [[0.5 * (i + 1)] * len(cols) for i in range(len(dates))],
+                    dates=dates)
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["contrib", "kappa", "factor"])
+    def test_no_common_dates(self, tmp_path, capsys, command):
+        a = self._panel(tmp_path, "a.csv", self.DATES)
+        b = self._panel(tmp_path, "b.csv", self.LATER)
+        argv = {"contrib": ["contrib", "--input", a, "--firm", b, "--measure", "tail:0.5",
+                            "--seed", "1"],
+                "kappa": ["kappa", "--input", a, "--firm", b, "--measure", "tail:0.5"],
+                "factor": ["factor", "--input", a, "--factors", b, "--measure", "tail:0.5",
+                           "--regression", "knn:1"]}[command]
+        code = cli.run_command(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert f"{a} and {b} share no dates" in captured.err
+
+    def test_trade_missing_a_date(self, tmp_path, capsys):
+        panel = self._panel(tmp_path, "p.csv", self.DATES)
+        factors = self._panel(tmp_path, "f.csv", self.DATES + self.LATER)
+        trade = self._panel(tmp_path, "x.csv", [self.DATES[0], self.DATES[2]])
+        code = cli.run_command(["factor", "--input", panel, "--factors", factors,
+                                "--measure", "tail:0.5", "--regression", "knn:1",
+                                "--trade", trade])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert f"{trade} is missing date '2025-01-02' of {panel}" in captured.err
+
+    def test_factor_file_must_cover_the_panel(self, tmp_path, capsys):
+        panel = self._panel(tmp_path, "p.csv", self.DATES)
+        factors = self._panel(tmp_path, "f.csv", self.DATES[:2], cols=("Y",))
+        rewards = tmp_path / "r.csv"
+        rewards.write_text("asset,reward\nA,1.0\n")
+        limits = tmp_path / "l.json"
+        limits.write_text(json.dumps([{"measure": "tail:0.5", "limit": 1.0, "factor": "Y"}]))
+        code = cli.run_command(["optimize", "--panel", panel, "--rewards", str(rewards),
+                                "--limits", str(limits), "--factors", factors,
+                                "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        # panels are held most recent first, so the latest uncovered date comes first
+        assert f"{factors} is missing date '2025-01-03' of {panel}" in captured.err
+
+
+class TestStrictEmit:
+    def test_non_finite_report_value_exits_one(self, panel_csv, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_cmd_allocate", lambda args: {"total_risk": float("nan")})
+        code = cli.run_command(["allocate", "--input", str(panel_csv), "--measure",
+                                "tail:0.5"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("crm: error: ")
 
 
 class TestDeterminismAndExitCodes:
