@@ -140,11 +140,14 @@ def _probs_on(panel: JointPanel, rows, path):
     return w / w.sum()
 
 
-def _load_aligned(path_a, path_b, columns_a, columns_b, returns: bool):
+def _load_aligned(path_a, path_b, columns_a, columns_b, returns: bool, trials: bool = False):
     """Two panel series on their common dates, most recent first, and the prob
-    weights of whichever panel has them (if both do, they must agree)."""
+    weights of whichever panel has them (if both do, they must agree). With
+    `trials`, prob columns are rejected."""
     pa = ingest_panel(path_a, returns=returns)
     pb = ingest_panel(path_b, returns=returns)
+    if trials and (pa.probs is not None or pb.probs is not None):
+        raise DataError(_NO_TRIAL_PROBS)
     ia, ib = align(pa.dates, pb.dates)
     if ia.size == 0:
         raise DataError(f"{path_a} and {path_b} share no dates")
@@ -296,15 +299,13 @@ def _contrib_announced(args) -> dict:
 
 def _contrib_inprocess(args) -> dict:
     measure = _distortion.parse_measure(args.measure)
+    orders = _mc_orders(args.measure)
+    if args.trials and orders is None:
+        raise DataError("Monte Carlo contribution needs alpha:A or beta:A,B")
     x_series, w_series, probs = _load_aligned(
         args.input, args.firm, _columns_arg(args.columns),
-        _columns_arg(args.firm_columns), args.returns)
+        _columns_arg(args.firm_columns), args.returns, trials=bool(args.trials))
     if args.trials:
-        orders = _mc_orders(args.measure)
-        if orders is None:
-            raise DataError("Monte Carlo contribution needs alpha:A or beta:A,B")
-        if probs is not None:
-            raise DataError(_NO_TRIAL_PROBS)
         a, b = orders
         scheme = _sampling.parse_scheme(args.scheme)
         draws, w_vals, eff_w = _draw_values(w_series, scheme, args.seed, args.trials, a,

@@ -67,16 +67,17 @@ def _sort_key(raw: str):
 def _number(cell: str, path, r_no: int, column: str) -> float:
     """A finite float cell, or a DataError naming the file, row and column."""
     cell = cell.strip()
+    try:
+        val = float(cell)
+        if math.isfinite(val):
+            return val
+        problem = "not a finite number"
+    except ValueError:
+        problem = "not a number"
     where = f"{path}: row {r_no}, column {column!r}"
     if not cell:
         raise DataError(f"{where} is blank")
-    try:
-        val = float(cell)
-    except ValueError:
-        raise DataError(f"{where}: not a number ({cell!r})") from None
-    if not math.isfinite(val):
-        raise DataError(f"{where}: not a finite number ({cell!r})")
-    return val
+    raise DataError(f"{where}: {problem} ({cell!r})")
 
 
 def align(dates_a, dates_b):
@@ -119,12 +120,7 @@ def ingest_panel(path, returns: bool = False) -> JointPanel:
         date = row[0].strip()
         if not date:
             raise DataError(f"{path}: row {r_no}, column 'date' is blank")
-        try:
-            vals = [float(cell) for cell in row[1:]]
-        except ValueError:
-            vals = [math.nan]
-        if not all(map(math.isfinite, vals)):  # cell by cell, to name the bad one
-            vals = [_number(cell, path, r_no, name) for name, cell in zip(names, row[1:])]
+        vals = [_number(cell, path, r_no, name) for name, cell in zip(names, row[1:])]
         key = _sort_key(date)
         if key in seen:
             first, text = seen[key]

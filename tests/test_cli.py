@@ -550,6 +550,25 @@ class TestScenarioWeights:
         assert code == 1 and captured.out == ""
         assert "panel probability weights are not supported with --trials" in captured.err
 
+    def test_zero_weight_rejected_as_weights_with_trials(self, tmp_path, capsys):
+        firm = tmp_path / "firm.csv"
+        firm.write_text(self.FIRM)
+        trade = tmp_path / "x.csv"
+        trade.write_text("date,X\n2025-01-02,1.0\n2025-01-03,-1.0\n")
+        code = cli.run_command(["contrib", "--input", str(trade), "--firm", str(firm),
+                                "--measure", "alpha:2", "--trials", "50", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "panel probability weights are not supported with --trials" in captured.err
+
+    def test_measure_without_orders_checked_before_files(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.csv")
+        code = cli.run_command(["contrib", "--input", missing, "--firm", missing,
+                                "--measure", "tail:0.5", "--trials", "50", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "Monte Carlo contribution needs alpha:A or beta:A,B" in captured.err
+
 
 class TestJoinErrors:
     DATES = ["2025-01-01", "2025-01-02", "2025-01-03"]
