@@ -1,20 +1,12 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Hot numeric kernels: counter-based uniforms, index draws and row selection.
 
-Every kernel exists twice: ``<name>_np`` (vectorised numpy) and ``<name>_nb``
-(@njit). The public wrappers dispatch on the active backend. Both paths are
-bit-identical by construction: all randomness is integer splitmix64 arithmetic,
-index selection uses exact comparisons, and floating-point reductions happen in
-a fixed (value-ascending) order.
-
-Backend selection: the environment variable ``CRM_NUMBA`` ("0" disables the
-numba path, anything else or unset enables it when numba imports). The choice
-is made once at import; ``backend()`` reports it. ``CRM_THREADS`` caps numba's
-thread count.
+Every kernel is vectorised numpy. Results are bit-reproducible by
+construction: all randomness is integer splitmix64 arithmetic over counters,
+index selection uses exact comparisons, and floating-point reductions happen
+in a fixed order.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -24,31 +16,17 @@ _MIX1 = _U64(0xBF58476D1CE4E5B9)
 _MIX2 = _U64(0x94D049BB133111EB)
 _INV53 = 1.0 / 9007199254740992.0  # 2**-53
 
-_want_numba = os.environ.get("CRM_NUMBA", "1") != "0"
-_HAVE_NUMBA = False
-if _want_numba:
-    try:
-        import numba
-        from numba import njit, prange
-
-        _threads = os.environ.get("CRM_THREADS")
-        if _threads:
-            numba.set_num_threads(max(1, min(int(_threads), numba.config.NUMBA_NUM_THREADS)))
-        _HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - exercised via CRM_NUMBA=0 runs
-        _HAVE_NUMBA = False
-
 
 def backend() -> str:
-    """Name of the active kernel backend ("numba" or "numpy")."""
-    return "numba" if _HAVE_NUMBA else "numpy"
+    """Name of the kernel backend, recorded with benchmark results."""
+    return "numpy"
 
 
 # ---------------------------------------------------------------------------
 # Counter-based uniforms (splitmix64 finaliser over seed-offset counters).
 # Cell i of a stream draws finalize(scramble(seed) + (i+1)*GAMMA); the mapping
-# to [0,1) keeps the top 53 bits. Everything is exact u64 arithmetic, so the
-# numpy and numba paths agree bit for bit.
+# to [0,1) keeps the top 53 bits. Everything is exact u64 arithmetic, so a
+# cell depends only on (seed, i), never on how the stream is split.
 # ---------------------------------------------------------------------------
 
 def _scramble_seed(seed: int) -> np.uint64:
@@ -59,7 +37,8 @@ def _scramble_seed(seed: int) -> np.uint64:
         return z ^ (z >> _U64(31))
 
 
-def uniforms_np(seed: int, start: int, count: int) -> np.ndarray:
+def uniforms(seed: int, start: int, count: int) -> np.ndarray:
+    """`count` deterministic uniforms from the (seed, counter) stream."""
     base = _scramble_seed(seed)
     ctr = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):
@@ -70,195 +49,45 @@ def uniforms_np(seed: int, start: int, count: int) -> np.ndarray:
     return (z >> _U64(11)).astype(np.float64) * _INV53
 
 
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _scramble_seed_nb(seed):
-        z = np.uint64(seed)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return z ^ (z >> np.uint64(31))
-
-    @njit(cache=True, parallel=True)
-    def uniforms_nb(seed, start, count):
-        base = _scramble_seed_nb(seed)
-        out = np.empty(count, dtype=np.float64)
-        for i in prange(count):
-            z = base + np.uint64(start + i + 1) * np.uint64(0x9E3779B97F4A7C15)
-            z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-            z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-            z = z ^ (z >> np.uint64(31))
-            out[i] = (z >> np.uint64(11)) * (1.0 / 9007199254740992.0)
-        return out
-
-
-def uniforms(seed: int, start: int, count: int) -> np.ndarray:
-    """`count` deterministic uniforms from the (seed, counter) stream."""
-    if count == 0:
-        return np.empty(0, dtype=np.float64)
-    if _HAVE_NUMBA:
-        return uniforms_nb(np.uint64(seed & 0xFFFFFFFFFFFFFFFF), start, count)
-    return uniforms_np(seed, start, count)
-
-
 # ---------------------------------------------------------------------------
 # Index draws: uniform over [0, n) and inverse-cdf lookup against a frozen
-# table (used for truncated-geometric weighting). searchsorted semantics are
-# replicated exactly in the numba path (first t with cdf[t] > u).
+# table (used for truncated-geometric weighting).
 # ---------------------------------------------------------------------------
 
-def uniform_indices_np(u: np.ndarray, n: int) -> np.ndarray:
+def uniform_indices(u: np.ndarray, n: int) -> np.ndarray:
+    """floor(u * n), capped at n - 1."""
     idx = (u * n).astype(np.int64)
     np.minimum(idx, n - 1, out=idx)
     return idx
 
 
-def cdf_indices_np(u: np.ndarray, cdf: np.ndarray) -> np.ndarray:
-    return np.searchsorted(cdf, u, side="right").astype(np.int64)
-
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True, parallel=True)
-    def uniform_indices_nb(u, n):
-        out = np.empty(u.size, dtype=np.int64)
-        for i in prange(u.size):
-            k = np.int64(u[i] * n)
-            if k >= n:
-                k = n - 1
-            out[i] = k
-        return out
-
-    @njit(cache=True, parallel=True)
-    def cdf_indices_nb(u, cdf):
-        out = np.empty(u.size, dtype=np.int64)
-        n = cdf.size
-        for i in prange(u.size):
-            lo = np.int64(0)
-            hi = np.int64(n)
-            x = u[i]
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if cdf[mid] > x:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            out[i] = lo
-        return out
-
-
-def uniform_indices(u: np.ndarray, n: int) -> np.ndarray:
-    if _HAVE_NUMBA:
-        return uniform_indices_nb(u, n)
-    return uniform_indices_np(u, n)
-
-
 def cdf_indices(u: np.ndarray, cdf: np.ndarray) -> np.ndarray:
-    if _HAVE_NUMBA:
-        return cdf_indices_nb(u, cdf)
-    return cdf_indices_np(u, cdf)
+    """First t with cdf[t] > u, per entry of u."""
+    return np.searchsorted(cdf, u, side="right").astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
 # Row-wise selection over K×alpha trial matrices.
 # ---------------------------------------------------------------------------
 
-def row_argmin_np(w: np.ndarray) -> np.ndarray:
-    return np.argmin(w, axis=1).astype(np.int64)
-
-
-def rank_columns_np(w: np.ndarray, beta: int) -> np.ndarray:
-    # stable sort: ties resolved by lowest column index
-    return np.argsort(w, axis=1, kind="stable")[:, :beta].astype(np.int64)
-
-
-def row_smallest_sums_np(x: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    picked = np.take_along_axis(x, cols, axis=1)
-    # accumulate left-to-right (w-ascending order) to match the numba path
-    out = picked[:, 0].astype(np.float64).copy()
-    for j in range(1, cols.shape[1]):
-        out += picked[:, j]
-    return out
-
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True, parallel=True)
-    def row_argmin_nb(w):
-        k_n, a_n = w.shape
-        out = np.empty(k_n, dtype=np.int64)
-        for k in prange(k_n):
-            best = w[k, 0]
-            arg = 0
-            for l in range(1, a_n):
-                if w[k, l] < best:
-                    best = w[k, l]
-                    arg = l
-            out[k] = arg
-        return out
-
-    @njit(cache=True, parallel=True)
-    def rank_columns_nb(w, beta):
-        k_n, a_n = w.shape
-        out = np.empty((k_n, beta), dtype=np.int64)
-        for k in prange(k_n):
-            # insertion selection of the beta smallest, (value, column) lexicographic
-            vals = np.empty(beta, dtype=w.dtype)
-            idxs = np.empty(beta, dtype=np.int64)
-            size = 0
-            for l in range(a_n):
-                v = w[k, l]
-                if size < beta:
-                    j = size
-                    while j > 0 and vals[j - 1] > v:
-                        vals[j] = vals[j - 1]
-                        idxs[j] = idxs[j - 1]
-                        j -= 1
-                    vals[j] = v
-                    idxs[j] = l
-                    size += 1
-                elif v < vals[beta - 1]:
-                    j = beta - 1
-                    while j > 0 and vals[j - 1] > v:
-                        vals[j] = vals[j - 1]
-                        idxs[j] = idxs[j - 1]
-                        j -= 1
-                    vals[j] = v
-                    idxs[j] = l
-            for j in range(beta):
-                out[k, j] = idxs[j]
-        return out
-
-    @njit(cache=True, parallel=True)
-    def row_smallest_sums_nb(x, cols):
-        k_n = x.shape[0]
-        beta = cols.shape[1]
-        out = np.empty(k_n, dtype=np.float64)
-        for k in prange(k_n):
-            s = x[k, cols[k, 0]]
-            for j in range(1, beta):
-                s += x[k, cols[k, j]]
-            out[k] = s
-        return out
-
-
 def row_argmin(w: np.ndarray) -> np.ndarray:
     """Per-row argmin, first occurrence on ties."""
-    if _HAVE_NUMBA:
-        return row_argmin_nb(np.ascontiguousarray(w))
-    return row_argmin_np(w)
+    return np.argmin(w, axis=1).astype(np.int64)
 
 
 def rank_columns(w: np.ndarray, beta: int) -> np.ndarray:
     """Column indices of the beta smallest entries per row, w-ascending,
     ties broken by lowest column index."""
-    if _HAVE_NUMBA:
-        return rank_columns_nb(np.ascontiguousarray(w), beta)
-    return rank_columns_np(w, beta)
+    return np.argsort(w, axis=1, kind="stable")[:, :beta].astype(np.int64)
 
 
 def row_smallest_sums(x: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Sum x[k, cols[k, :]] per row, accumulated in cols order."""
-    if _HAVE_NUMBA:
-        return row_smallest_sums_nb(np.ascontiguousarray(x), np.ascontiguousarray(cols))
-    return row_smallest_sums_np(x, cols)
+    picked = np.take_along_axis(x, cols, axis=1)
+    # Left to right, one column at a time: the summation order fixes the bits
+    # of the beta Monte Carlo estimates in the `estimate` and `contrib --trials`
+    # reports, which numpy's pairwise `sum(axis=1)` would change from B = 8 on.
+    out = picked[:, 0].astype(np.float64).copy()
+    for j in range(1, cols.shape[1]):
+        out += picked[:, j]
+    return out

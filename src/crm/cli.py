@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 
@@ -38,6 +39,7 @@ __all__ = ["main", "run_command"]
 
 ANNOUNCE_SCHEMA = "crm.announce/1"
 _NO_TRIAL_PROBS = "panel probability weights are not supported with --trials"
+_UNUSED_PROBS = "{path}: panel probability weights are not supported by {use}"
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +87,13 @@ def _check_trials(trials: int) -> None:
         raise DataError(f"--trials must be at least 2, got {trials}")
 
 
+def _check_solver(args) -> None:
+    """The supergradient solver needs at least one start and one step."""
+    for flag, value in (("--max-iter", args.max_iter), ("--restarts", args.restarts)):
+        if value < 1:
+            raise DataError(f"{flag} must be at least 1, got {value}")
+
+
 def _require(entry, key: str, where: str):
     """entry[key], or a DataError naming where the key is missing."""
     if not isinstance(entry, dict) or key not in entry:
@@ -128,6 +137,14 @@ def _draw_values(series, scheme, seed, trials, draws_per_trial, standardize):
     eff, _, draw_scheme, _ = _effective_series(series, scheme, standardize)
     draws = _sampling.generate_draws(draw_scheme, eff.size, trials, draws_per_trial, seed)
     return draws, _sampling.materialize(draws, eff), eff
+
+
+def _ingest_unweighted(path, use: str, returns: bool = False) -> JointPanel:
+    """ingest_panel for a file whose prob column `use` would ignore."""
+    panel = ingest_panel(path, returns=returns)
+    if panel.probs is not None:
+        raise DataError(_UNUSED_PROBS.format(path=path, use=use))
+    return panel
 
 
 def _probs_on(panel: JointPanel, rows, path):
@@ -337,8 +354,8 @@ def _parse_regression(text: str):
 
 
 def _cmd_factor(args) -> dict:
-    panel = ingest_panel(args.input, returns=args.returns)
-    factors = ingest_panel(args.factors)
+    panel = _ingest_unweighted(args.input, "factor", args.returns)
+    factors = _ingest_unweighted(args.factors, "factor")
     pi, fi = align(panel.dates, factors.dates)
     if pi.size == 0:
         raise DataError(f"{args.input} and {args.factors} share no dates")
@@ -348,7 +365,7 @@ def _cmd_factor(args) -> dict:
     method = reg.pop("method")
     trade_series = None
     if args.trade:
-        trade = ingest_panel(args.trade, returns=args.returns)
+        trade = _ingest_unweighted(args.trade, "factor", args.returns)
         ti = _cover([panel.dates[i] for i in pi], args.input, trade, args.trade)
         trade_series = trade.series(_columns_arg(args.trade_columns))[ti]
     rows = []
@@ -373,6 +390,7 @@ def _cmd_factor(args) -> dict:
 
 
 def _cmd_optimize(args) -> dict:
+    _check_solver(args)
     panel = ingest_panel(args.panel, returns=args.returns)
     rewards = _read_rewards(args.rewards, panel)
     with open(args.limits) as fh:
@@ -393,7 +411,7 @@ def _cmd_optimize(args) -> dict:
             if factors is None:
                 if not args.factors:
                     raise DataError("factor-mapped limits need --factors")
-                factors = ingest_panel(args.factors)
+                factors = _ingest_unweighted(args.factors, "optimize --factors")
                 fidx = _cover(panel.dates, args.panel, factors, args.factors)
             try:
                 col = factors.column_index(entry["factor"])
@@ -454,24 +472,40 @@ def _cmd_kappa(args) -> dict:
 
 
 def _cmd_equilibrium(args) -> dict:
-    import os
+    _check_solver(args)
     with open(args.firm) as fh:
         spec = json.load(fh)
     base = os.path.dirname(os.path.abspath(args.firm))
     desk_spec = _require(spec, "desks", args.firm)
     limit_spec = _require(spec, "limits", args.firm)
-    desks = []
-    panels = []
+    if not isinstance(desk_spec, list) or not desk_spec:
+        raise DataError(f"{args.firm}: expected a nonempty JSON array of desks")
+    paths, panels, picks, specs = [], [], [], []
     for i, entry in enumerate(desk_spec):
         where = f"{args.firm}: desks[{i}]"
-        p = ingest_panel(os.path.join(base, _require(entry, "panel", where)))
+        paths.append(os.path.join(base, _require(entry, "panel", where)))
+        p = _ingest_unweighted(paths[-1], "equilibrium")
         cols = entry.get("columns")
-        pnl = p.pnl if cols is None else p.pnl[:, [p.column_index(c) for c in cols]]
-        rewards = np.asarray(_require(entry, "rewards", where), dtype=float)
-        bounds = np.asarray(entry["bounds"], dtype=float) if entry.get("bounds") else None
-        desks.append(_sharing.Desk(panel=pnl, rewards=rewards, bounds=bounds,
-                                   name=entry.get("name", f"desk{len(desks)}")))
-        panels.append(pnl)
+        panels.append(p)
+        picks.append(slice(None) if cols is None else [p.column_index(c) for c in cols])
+        bounds = entry.get("bounds")
+        specs.append({
+            "rewards": np.asarray(_require(entry, "rewards", where), dtype=float),
+            "bounds": np.asarray(bounds, dtype=float) if bounds else None,
+            "name": entry.get("name", f"desk{i}")})
+    # desks meet on the dates they all hold, in desk 0's order
+    common, rows = panels[0].dates, [np.arange(panels[0].periods)]
+    for k in range(1, len(panels)):
+        ia, ib = align(common, panels[k].dates)
+        if ia.size == 0:
+            named = ", ".join(dict.fromkeys(paths[:k + 1]))
+            raise DataError(f"{args.firm}: desk panels {named} share no dates")
+        common = [common[i] for i in ia]
+        rows = [r[ia] for r in rows] + [ib]
+    # rows before columns: the column pick sets the memory layout, and with it
+    # the rounding of the solver's matrix products
+    desks = [_sharing.Desk(panel=p.pnl[r][:, pick], **spec)
+             for p, r, pick, spec in zip(panels, rows, picks, specs)]
     texts, limit_vals = [], []
     for i, entry in enumerate(limit_spec):
         where = f"{args.firm}: limits[{i}]"
@@ -485,7 +519,7 @@ def _cmd_equilibrium(args) -> dict:
         allocation = np.tile(limit_vals / len(desks), (len(desks), 1))
     firm = _sharing.FirmInstance(desks=desks, measures=measures, limits=limit_vals,
                                  allocation=allocation)
-    stacked = np.hstack(panels)
+    stacked = np.hstack([d.panel for d in desks])
     rewards = np.concatenate([d.rewards for d in desks])
     limits = [_optimize.RiskLimit(m, float(c), stacked, label=t)
               for m, c, t in zip(measures, limit_vals, texts)]

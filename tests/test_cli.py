@@ -330,6 +330,22 @@ class TestFactorCommand:
         for r in rep["factors"]:
             assert np.isfinite(r["factor_risk"])
 
+    @pytest.mark.parametrize("weighted", ["--input", "--factors", "--trade"])
+    def test_prob_column_rejected(self, tmp_path, capsys, weighted):
+        files = {}
+        for flag, name in (("--input", "A"), ("--factors", "F"), ("--trade", "X")):
+            path = tmp_path / f"{name}.csv"
+            body = "date,prob," + name if flag == weighted else "date," + name
+            rows = [f"2025-01-0{i + 1}," + ("1," if flag == weighted else "") + f"{v}"
+                    for i, v in enumerate([1.0, -2.0, 0.5, 3.0])]
+            path.write_text(body + "\n" + "\n".join(rows) + "\n")
+            files[flag] = str(path)
+        code = cli.run_command(["factor", "--measure", "tail:0.5", "--regression", "knn:1"]
+                               + [a for flag, path in files.items() for a in (flag, path)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert cli._UNUSED_PROBS.format(path=files[weighted], use="factor") in captured.err
+
 
 class TestFactorJoint:
     def test_joint_risk_reported(self, tmp_path, panel_csv, capsys):
@@ -416,6 +432,25 @@ class TestOptimizeCommand:
                 "--limits", str(lpath), "--factors", str(fpath), "--restarts", "1",
                 "--max-iter", "20", "--seed", "1"]
 
+    @pytest.mark.parametrize("flag, value", [("--max-iter", 0), ("--max-iter", -2),
+                                             ("--restarts", 0), ("--restarts", -3)])
+    def test_solver_flags_below_one_rejected(self, tmp_path, capsys, flag, value):
+        code = cli.run_command(self._inputs(tmp_path) + [flag, str(value)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert f"{flag} must be at least 1, got {value}" in captured.err
+
+    def test_weighted_factor_file_rejected(self, tmp_path, capsys):
+        argv = self._inputs(tmp_path, factor="Y")
+        fpath = tmp_path / "factors.csv"
+        fpath.write_text("date,Y,prob\n2025-01-01,0.5,1\n2025-01-02,-0.5,0\n"
+                         "2025-01-03,0.25,1\n")
+        code = cli.run_command(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert cli._UNUSED_PROBS.format(path=fpath, use="optimize --factors") \
+            in captured.err
+
     def test_unknown_factor_column_names_file_entry_and_column(self, tmp_path, capsys):
         code = cli.run_command(self._inputs(tmp_path, factor="Z"))
         err = capsys.readouterr().err
@@ -459,6 +494,95 @@ class TestEquilibriumCommand:
         err = capsys.readouterr().err
         assert code == 1
         assert str(fpath) in err and repr(key) in err
+
+    SMALL = {"a.csv": "date,A,B\n2025-01-01,1.0,0.5\n2025-01-02,-1.0,2.0\n"
+                      "2025-01-03,0.5,-1.5\n",
+             "b.csv": "date,X\n2025-01-01,0.5\n2025-01-02,-0.5\n2025-01-03,1.5\n"}
+
+    def _firm(self, tmp_path, panels):
+        """firm.json with desks d1 = a.csv:A, d2 = b.csv:X and d3 = a.csv:B."""
+        for fname, text in panels.items():
+            (tmp_path / fname).write_text(text)
+        firm = {"desks": [
+                    {"name": "d1", "panel": "a.csv", "columns": ["A"], "rewards": [1.0]},
+                    {"name": "d2", "panel": "b.csv", "columns": ["X"], "rewards": [0.5]},
+                    {"name": "d3", "panel": "a.csv", "columns": ["B"], "rewards": [0.8]}],
+                "limits": [{"measure": "tail:0.5", "limit": 1.0}]}
+        fpath = tmp_path / "firm.json"
+        fpath.write_text(json.dumps(firm))
+        return fpath
+
+    @staticmethod
+    def _csv(header, dates, rows):
+        return header + "\n" + "".join(f"{d}," + ",".join(map(repr, r)) + "\n"
+                                       for d, r in zip(dates, rows))
+
+    def test_disjoint_desk_dates_rejected(self, tmp_path, capsys):
+        early = [str(np.datetime64("2020-01-01") + i) for i in range(200)]
+        late = [str(np.datetime64("2023-01-01") + i) for i in range(200)]
+        rng = np.random.default_rng(3)
+        fpath = self._firm(tmp_path, {
+            "a.csv": self._csv("date,A,B", early, rng.standard_normal((200, 2)).tolist()),
+            "b.csv": self._csv("date,X", late, rng.standard_normal((200, 1)).tolist())})
+        code = cli.run_command(["equilibrium", "--firm", str(fpath), "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert (f"{fpath}: desk panels {tmp_path / 'a.csv'}, {tmp_path / 'b.csv'} "
+                "share no dates") in captured.err
+
+    def test_desks_join_on_common_dates(self, tmp_path, capsys):
+        dates = [str(np.datetime64("2025-01-01") + i) for i in range(300)]
+        rng = np.random.default_rng(8)
+        a = rng.standard_normal((260, 2)).round(6).tolist()   # dates 0..259
+        b = rng.standard_normal((240, 1)).round(6).tolist()   # dates 60..299
+        shuffled, trimmed = tmp_path / "shuffled", tmp_path / "trimmed"
+        shuffled.mkdir()
+        trimmed.mkdir()
+        pa, pb = rng.permutation(260), rng.permutation(240)
+        full = self._firm(shuffled, {
+            "a.csv": self._csv("date,A,B", [dates[i] for i in pa], [a[i] for i in pa]),
+            "b.csv": self._csv("date,X", [dates[60 + i] for i in pb], [b[i] for i in pb])})
+        common = self._firm(trimmed, {
+            "a.csv": self._csv("date,A,B", dates[60:260], a[60:]),
+            "b.csv": self._csv("date,X", dates[60:260], b[:200])})
+        reports = []
+        for fpath in (full, common):
+            code, rep = run(capsys, ["equilibrium", "--firm", fpath, "--restarts", 2,
+                                     "--max-iter", 100, "--seed", 5])
+            assert code == 0
+            reports.append(json.dumps({k: v for k, v in rep.items()
+                                       if k not in ("command", "timings")}, sort_keys=True))
+        assert reports[0] == reports[1]
+
+    def test_empty_desk_list_rejected(self, tmp_path, capsys):
+        fpath = tmp_path / "firm.json"
+        fpath.write_text(json.dumps({"desks": [],
+                                     "limits": [{"measure": "tail:0.5", "limit": 1.0}]}))
+        code = cli.run_command(["equilibrium", "--firm", str(fpath), "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert f"{fpath}: expected a nonempty JSON array of desks" in captured.err
+
+    def test_prob_column_rejected(self, tmp_path, capsys):
+        fpath = self._firm(tmp_path, {
+            "a.csv": self.SMALL["a.csv"],
+            "b.csv": "date,X,prob\n2025-01-01,0.5,1\n2025-01-02,-0.5,0\n"
+                     "2025-01-03,1.5,1\n"})
+        code = cli.run_command(["equilibrium", "--firm", str(fpath), "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert cli._UNUSED_PROBS.format(path=tmp_path / "b.csv", use="equilibrium") \
+            in captured.err
+
+    @pytest.mark.parametrize("flag, value", [("--max-iter", 0), ("--max-iter", -2),
+                                             ("--restarts", 0), ("--restarts", -3)])
+    def test_solver_flags_below_one_rejected(self, tmp_path, capsys, flag, value):
+        fpath = self._firm(tmp_path, self.SMALL)
+        code = cli.run_command(["equilibrium", "--firm", str(fpath), "--seed", "1",
+                                flag, str(value)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert f"{flag} must be at least 1, got {value}" in captured.err
 
     def test_full_pipeline(self, tmp_path, capsys):
         rng = np.random.default_rng(7)
@@ -678,27 +802,6 @@ class TestDeterminismAndExitCodes:
             b1 = json.dumps(strip_timings(rep1), sort_keys=True)
             b2 = json.dumps(strip_timings(rep2), sort_keys=True)
             assert b1 == b2, argv
-
-    def test_cross_backend_reports_identical(self, panel_csv, tmp_path):
-        # the numba and numpy kernel paths must produce byte-identical reports
-        import os
-        import subprocess
-        import sys
-
-        cmd = ["estimate", "--input", str(panel_csv), "--measure", "beta:6,2",
-               "--scheme", "geometric:0.97", "--trials", "1500", "--seed", "13"]
-        outs = []
-        for numba_flag in ("1", "0"):
-            env = dict(os.environ, CRM_NUMBA=numba_flag)
-            proc = subprocess.run(
-                [sys.executable, "-c",
-                 "import sys; from crm.cli import main; sys.exit(main(sys.argv[1:]))",
-                 *cmd], capture_output=True, text=True, env=env)
-            assert proc.returncode == 0, proc.stderr
-            rep = json.loads(proc.stdout)
-            rep.pop("timings")
-            outs.append(json.dumps(rep, sort_keys=True))
-        assert outs[0] == outs[1]
 
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:
