@@ -85,8 +85,9 @@ def row_smallest_sums(x: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Sum x[k, cols[k, :]] per row, accumulated in cols order."""
     picked = np.take_along_axis(x, cols, axis=1)
     # Left to right, one column at a time: the summation order fixes the bits
-    # of the beta Monte Carlo estimates in the `estimate` and `contrib --trials`
-    # reports, which numpy's pairwise `sum(axis=1)` would change from B = 8 on.
+    # of the beta Monte Carlo estimates in the `estimate`, `contrib --trials`
+    # and `contrib --announced` reports, which numpy's pairwise `sum(axis=1)`
+    # would change from B = 8 on.
     out = picked[:, 0].astype(np.float64).copy()
     for j in range(1, cols.shape[1]):
         out += picked[:, j]

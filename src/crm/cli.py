@@ -248,6 +248,8 @@ def _write_plot_data(prefix: str, dist: ScenarioDistribution) -> None:
 def _cmd_announce(args) -> dict:
     _check_trials(args.trials)
     panel = ingest_panel(args.input, returns=args.returns)
+    if panel.probs is not None:
+        raise DataError(_NO_TRIAL_PROBS)
     series = panel.series(_columns_arg(args.columns))
     orders = _mc_orders(args.measure)
     if orders is None:
@@ -287,6 +289,8 @@ def _contrib_announced(args) -> dict:
     if ann.get("schema") != ANNOUNCE_SCHEMA:
         raise DataError(f"{args.announced}: not an announce file")
     panel = ingest_panel(args.input, returns=args.returns)
+    if panel.probs is not None:
+        raise DataError(_NO_TRIAL_PROBS)
     series = panel.series(_columns_arg(args.columns))
     scheme = _sampling.parse_scheme(ann["scheme"])
     eff, _, _, _ = _effective_series(series, scheme, args.standardize)
@@ -305,7 +309,7 @@ def _contrib_announced(args) -> dict:
     b = int(ann["order_beta"])
     sel = np.asarray(ann["selected"], dtype=np.int64)
     if b > 1:
-        picked = np.take_along_axis(x_vals, sel, axis=1).sum(axis=1) / b
+        picked = _kernels.row_smallest_sums(x_vals, sel) / b
     else:
         picked = x_vals[np.arange(k), sel]
     est = _mc._reduce(picked)

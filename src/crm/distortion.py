@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, special
 
 from .errors import DivergenceError
 
@@ -65,6 +64,8 @@ class WeightingMeasure:
         if self.kind == "mixture":
             out = np.minimum(x_arr[..., None] / self.levels, 1.0) @ self.weights
         else:
+            from scipy import special
+
             out = special.betainc(self.b + 1.0, self.a - self.b, x_arr) \
                 + x_arr * self._beta_spectrum(np.maximum(x_arr, 1e-300))
             out = np.where(x_arr == 0.0, 0.0, out)
@@ -110,10 +111,14 @@ class WeightingMeasure:
         return np.concatenate((np.cumsum(per[::-1])[::-1], [0.0]))
 
     def _beta_spectrum(self, x: np.ndarray) -> np.ndarray:
+        from scipy import special
+
         a, b = self.a, self.b
         if b > 0:
             return (a / b) * (1.0 - special.betainc(b, a - b, x))
         # unbounded-spectrum regime (b <= 0): direct quadrature, cold path
+        from scipy import integrate
+
         norm = special.beta(b + 1.0, a - b)
 
         def tail_integral(lo: float) -> float:
@@ -243,6 +248,8 @@ def tail_gaussian_multiplier(level: float) -> float:
         raise ValueError(f"level must lie in (0, 1], got {level}")
     if level == 1.0:
         return 0.0
+    from scipy import special
+
     q = special.ndtri(level)
     return float(np.exp(-0.5 * q * q) / (level * _SQRT_2PI))
 
@@ -260,6 +267,8 @@ def gaussian_multiplier(measure: WeightingMeasure) -> float:
     if measure.kind == "mixture":
         return float(sum(w * tail_gaussian_multiplier(l)
                          for l, w in zip(measure.levels, measure.weights)))
+
+    from scipy import integrate, special
 
     if measure.b <= 0.0:
         # level-density form with the algebraic endpoint weights handled by

@@ -14,8 +14,6 @@ import math
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.special import ndtri
 
 from . import _kernels
 from .contribution import risk_contribution
@@ -70,6 +68,8 @@ class KNearestRegressor:
     def __init__(self, y: np.ndarray, x: np.ndarray, k: int):
         if k < 1:
             raise ValueError("k must be >= 1")
+        from scipy.spatial import cKDTree
+
         self.k = min(k, y.shape[0])
         self._tree = cKDTree(y)
         self._x = x
@@ -121,6 +121,8 @@ class KernelRegressor:
             self._bin_sx = np.bincount(which, weights=x, minlength=nb)
             self._span = span
         else:
+            from scipy.spatial import cKDTree
+
             self._tree = cKDTree(y / self._h)
             self._y = y
             self._x = x
@@ -282,6 +284,8 @@ def factor_model_diagnostic(loadings, idio_vols, factor_sample,
     systematic = f @ total_loading
     agg_vol = math.sqrt(float(np.dot(sig, sig)))
     if agg_vol > 0.0:
+        from scipy.special import ndtri
+
         noise = ndtri(np.clip(_kernels.uniforms(seed, 0, f.shape[0]),
                               1e-16, 1.0 - 1e-16))
         total = systematic + agg_vol * noise

@@ -101,7 +101,9 @@ def weighted_contribution_empirical(x, w, probs, measure: WeightingMeasure) -> f
     Ranks scenarios by w, maps cumulative weights through the distortion and
     averages x under the resulting worst-case weights. Tied w values are
     merged first (x averaged with probability weights), which makes the
-    estimate well defined and tie-order invariant.
+    estimate well defined. A tied block's x-mass is summed in input order, so
+    reordering the scenarios within a tie can move the estimate by rounding
+    (in the last bits), and by nothing more.
     """
     x, w, probs = _aligned(x, w, probs)
     order, block, bp, cum = _rank_blocks(w, probs)

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .distortion import WeightingMeasure
 
@@ -168,6 +167,8 @@ def _order_stat_mix_cdf(z: np.ndarray, a: int, b: int) -> np.ndarray:
     i = 1..b. Independent of the incomplete-beta path used by the distortion
     module.
     """
+    from scipy.special import gammaln
+
     j = np.arange(1.0, a + 1.0)
     log_comb = gammaln(a + 1.0) - gammaln(j + 1.0) - gammaln(a - j + 1.0)
     coef = np.minimum(j, float(b)) / float(b)

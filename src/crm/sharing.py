@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .contribution import extreme_measure
 from .distortion import WeightingMeasure
@@ -112,6 +111,8 @@ def equilibrium_prices(firm: FirmInstance, holdings, binding_tol: float = _BINDI
         means = _desk_worst_means(firm, extremes)
         cols = [np.concatenate(means[m]) for m in active]
         a_mat = -np.column_stack(cols)
+        from scipy.optimize import nnls
+
         sol, _ = nnls(a_mat, e_stack)
         prices[active] = sol
         residual = float(np.max(np.abs(a_mat @ sol - e_stack)))

@@ -225,6 +225,25 @@ class TestAnnounceContrib:
                                    "--trials", 400, "--seed", 3])
         assert rep_a["contribution"] == rep_b["contribution"]
 
+    @pytest.mark.parametrize("seed", [13, 17, 19, 22])
+    def test_announced_beta_sums_like_in_process(self, tmp_path, panel_csv, trade_csv,
+                                                 seed, capsys):
+        # B = 10 picks per trial, on seeds where a pairwise sum of the picks
+        # differs in the last bit from a left-to-right one
+        ann = tmp_path / "b.json"
+        argv = ["--measure", "beta:30,10", "--scheme", "uniform:300", "--trials", 500,
+                "--seed", seed]
+        code, _ = run(capsys, ["announce", "--input", panel_csv, "--out", ann] + argv)
+        assert code == 0
+        code, rep_a = run(capsys, ["contrib", "--input", trade_csv, "--announced", ann,
+                                   "--seed", seed])
+        assert code == 0
+        code, rep_b = run(capsys, ["contrib", "--input", trade_csv, "--firm", panel_csv]
+                          + argv)
+        assert code == 0
+        assert rep_a["contribution"] == rep_b["contribution"]
+        assert rep_a["std_error"] == rep_b["std_error"]
+
     def test_exact_contribution(self, panel_csv, trade_csv, capsys):
         code, rep = run(capsys, ["contrib", "--input", trade_csv, "--firm",
                                  panel_csv, "--measure", "tail:0.25", "--seed", 1])
@@ -681,6 +700,30 @@ class TestScenarioWeights:
         trade.write_text("date,X\n2025-01-02,1.0\n2025-01-03,-1.0\n")
         code = cli.run_command(["contrib", "--input", str(trade), "--firm", str(firm),
                                 "--measure", "alpha:2", "--trials", "50", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "panel probability weights are not supported with --trials" in captured.err
+
+    def test_announce_rejects_weights(self, tmp_path, capsys):
+        firm = tmp_path / "firm.csv"
+        firm.write_text(self.FIRM)
+        out = tmp_path / "a.json"
+        code = cli.run_command(["announce", "--input", str(firm), "--measure", "alpha:2",
+                                "--trials", "50", "--seed", "1", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "" and not out.exists()
+        assert "panel probability weights are not supported with --trials" in captured.err
+
+    def test_contrib_announced_rejects_weights(self, tmp_path, capsys):
+        firm = tmp_path / "firm.csv"
+        firm.write_text("date,A\n2025-01-01,1.0\n2025-01-02,-2.0\n2025-01-03,3.0\n"
+                        "2025-01-04,-1.0\n")
+        ann = tmp_path / "a.json"
+        code, _ = run(capsys, ["announce", "--input", firm, "--measure", "alpha:2",
+                               "--trials", 50, "--seed", 1, "--out", ann])
+        assert code == 0
+        code = cli.run_command(["contrib", "--input", str(self._trade(tmp_path, [1, 0, 0, 1])),
+                                "--announced", str(ann), "--seed", "1"])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert "panel probability weights are not supported with --trials" in captured.err
