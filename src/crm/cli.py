@@ -88,7 +88,8 @@ def _check_trials(trials: int) -> None:
 
 
 def _check_solver(args) -> None:
-    """The supergradient solver needs at least one start and one step."""
+    """The cutting-plane solver needs at least one LP round; --restarts is
+    accepted for compatibility and checked the same way."""
     for flag, value in (("--max-iter", args.max_iter), ("--restarts", args.restarts)):
         if value < 1:
             raise DataError(f"{flag} must be at least 1, got {value}")
@@ -99,6 +100,25 @@ def _require(entry, key: str, where: str):
     if not isinstance(entry, dict) or key not in entry:
         raise DataError(f"{where}: missing key {key!r}")
     return entry[key]
+
+
+def _numbers(value, what: str, need: str, ok) -> np.ndarray:
+    """value as floats that all pass ok, or a DataError naming what and need."""
+    try:
+        arr = np.asarray(value, dtype=float)
+        good = bool(np.all(ok(arr)))
+    except (TypeError, ValueError):
+        good = False
+    if not good:
+        raise DataError(f"{what} must be {need}, got {value!r}")
+    return arr
+
+
+def _limit_value(entry, where: str) -> float:
+    """entry["limit"] as a positive finite number."""
+    return float(_numbers(_require(entry, "limit", where), f"{where}: key 'limit'",
+                          "a positive finite number",
+                          lambda a: a.ndim == 0 and np.isfinite(a) and a > 0.0))
 
 
 def _columns_arg(text):
@@ -408,9 +428,9 @@ def _cmd_optimize(args) -> dict:
     for i, entry in enumerate(spec):
         where = f"{args.limits}: entry {i}"
         text = _require(entry, "measure", where)
-        limit = _require(entry, "limit", where)
+        limit = _limit_value(entry, where)
         measure = _distortion.parse_measure(text)
-        label = entry.get("label") or f"{text}<= {limit}"
+        label = entry.get("label") or f"{text}<= {entry['limit']}"
         if entry.get("factor"):
             if factors is None:
                 if not args.factors:
@@ -428,7 +448,7 @@ def _cmd_optimize(args) -> dict:
             label += f" | {entry['factor']}"
         else:
             eff_panel = panel.pnl
-        limits.append(_optimize.RiskLimit(measure, float(limit), eff_panel, label))
+        limits.append(_optimize.RiskLimit(measure, limit, eff_panel, label))
     problem = _optimize.OptimizationProblem(rewards=rewards, limits=limits,
                                             probs=panel.probs)
     sol = _optimize.solve_portfolio(problem, tol=args.tol, max_iter=args.max_iter,
@@ -492,10 +512,19 @@ def _cmd_equilibrium(args) -> dict:
         cols = entry.get("columns")
         panels.append(p)
         picks.append(slice(None) if cols is None else [p.column_index(c) for c in cols])
-        bounds = entry.get("bounds")
+        n_cols = len(p.assets) if cols is None else len(cols)
+        bounds = entry.get("bounds") or None
+        if bounds is not None:
+            # a box around 0 keeps the zero portfolio feasible
+            bounds = _numbers(bounds, f"{where}: key 'bounds'",
+                              "one [lo, hi] pair per column with lo <= 0 <= hi",
+                              lambda a: a.shape == (n_cols, 2)
+                              and np.all((a[:, 0] <= 0.0) & (a[:, 1] >= 0.0)))
         specs.append({
-            "rewards": np.asarray(_require(entry, "rewards", where), dtype=float),
-            "bounds": np.asarray(bounds, dtype=float) if bounds else None,
+            "rewards": _numbers(_require(entry, "rewards", where), f"{where}: key 'rewards'",
+                                "one finite number per column",
+                                lambda a: a.shape == (n_cols,) and np.all(np.isfinite(a))),
+            "bounds": bounds,
             "name": entry.get("name", f"desk{i}")})
     # desks meet on the dates they all hold, in desk 0's order
     common, rows = panels[0].dates, [np.arange(panels[0].periods)]
@@ -514,7 +543,7 @@ def _cmd_equilibrium(args) -> dict:
     for i, entry in enumerate(limit_spec):
         where = f"{args.firm}: limits[{i}]"
         texts.append(_require(entry, "measure", where))
-        limit_vals.append(float(_require(entry, "limit", where)))
+        limit_vals.append(_limit_value(entry, where))
     measures = [_distortion.parse_measure(t) for t in texts]
     limit_vals = np.array(limit_vals)
     if "allocation" in spec:
@@ -527,7 +556,9 @@ def _cmd_equilibrium(args) -> dict:
     rewards = np.concatenate([d.rewards for d in desks])
     limits = [_optimize.RiskLimit(m, float(c), stacked, label=t)
               for m, c, t in zip(measures, limit_vals, texts)]
-    problem = _optimize.OptimizationProblem(rewards=rewards, limits=limits)
+    box = np.vstack([[(-np.inf, np.inf)] * d.rewards.size if d.bounds is None else d.bounds
+                     for d in desks])
+    problem = _optimize.OptimizationProblem(rewards=rewards, limits=limits, bounds=box)
     sol = _optimize.solve_portfolio(problem, tol=args.tol, max_iter=args.max_iter,
                                     restarts=args.restarts, seed=args.seed)
     holdings = np.split(sol.h, np.cumsum([d.rewards.size for d in desks])[:-1])

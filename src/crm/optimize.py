@@ -2,12 +2,11 @@
 
 The problem: maximize reward subject to spectral risk limits on linear
 portfolios of scenario P&Ls (possibly measured on per-factor conditional-mean
-panels). The utilities are concave and positively homogeneous, so the problem
-reduces to maximizing the worst utility-to-limit ratio on the affine slice
-where the reward equals one, then rescaling so the binding limit is tight.
-That reduced objective is a concave min of support functions; projected
-supergradient ascent with diminishing steps solves it, and the extreme
-scenario weights provide supergradients for free.
+panels), optionally inside a box of holdings. A limit rho(Xh) <= c is the
+intersection of the half-spaces -q.Xh <= c over the generators q of its
+measure, and the extreme scenario weights at h give the one active there, so
+Kelley's cutting-plane method solves the problem exactly with an LP that has
+one column per asset, whatever the scenario count.
 
 A low-dimensional geometric solver (ray-boundary intersection with the scaled
 generator hull) is included as an independent oracle for d <= 3.
@@ -15,16 +14,14 @@ generator hull) is included as an independent oracle for d <= 3.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from . import _kernels
 from .contribution import extreme_measure
 from .distortion import WeightingMeasure
-from .errors import UnboundedError
+from .errors import CrmError, UnboundedError
 
 __all__ = ["RiskLimit", "OptimizationProblem", "support_value",
            "solve_portfolio", "PortfolioSolution", "geometric_solution",
@@ -56,6 +53,7 @@ class OptimizationProblem:
     rewards: np.ndarray
     limits: Sequence[RiskLimit]
     probs: Optional[np.ndarray] = None
+    bounds: Optional[np.ndarray] = None  # (d, 2) lo/hi around 0; None: all of R^d
 
     def __post_init__(self):
         rewards = np.asarray(self.rewards, dtype=float)
@@ -68,6 +66,13 @@ class OptimizationProblem:
         for lim in self.limits:
             if lim.panel.ndim != 2 or lim.panel.shape[1] != d:
                 raise ValueError("every limit panel must be T x d")
+        box = np.tile([-np.inf, np.inf], (d, 1)) if self.bounds is None \
+            else np.asarray(self.bounds, dtype=float)
+        object.__setattr__(self, "bounds", box)
+        # a box around 0 keeps the zero portfolio feasible and the final
+        # rescale inside the box
+        if box.shape != (d, 2) or not np.all((box[:, 0] <= 0.0) & (box[:, 1] >= 0.0)):
+            raise ValueError("bounds must be (d, 2) with lo <= 0 <= hi")
 
 
 def support_value(panel: np.ndarray, probs, h: np.ndarray,
@@ -96,122 +101,112 @@ class PortfolioSolution:
     risks: np.ndarray
     converged: bool
     iterations: int
-    restarts: int
 
 
-def _no_good_deals_check(problem: OptimizationProblem, n_dirs: int, seed: int):
-    d = problem.rewards.size
-    dirs = [np.eye(d)[i] * s for i in range(d) for s in (1.0, -1.0)]
-    if n_dirs > 0:
-        u = _kernels.uniforms(seed ^ 0x5EED, 0, n_dirs * d)
-        extra = (u.reshape(n_dirs, d) - 0.5)
-        norms = np.linalg.norm(extra, axis=1)
-        dirs.extend(extra[i] / norms[i] for i in range(n_dirs) if norms[i] > 0)
-    for v in dirs:
-        # the objective is unbounded along v iff every limit sees v at
-        # nonpositive risk, so the check is on the worst constraint ratio
-        worst = min(support_value(lim.panel, problem.probs, v, lim.measure)[0]
-                    / lim.limit for lim in problem.limits)
-        if worst >= 0.0:
-            raise UnboundedError(
-                f"No-Good-Deals violated: portfolio direction {v.tolist()} has "
-                f"nonpositive risk under every limit; the objective is unbounded")
+def _ratios_and_cuts(problem: OptimizationProblem, h: np.ndarray):
+    """Risk-to-limit ratio of every limit at h, and the cut each one makes
+    there: the rows a with a.h <= 1 on the limit, tight along h."""
+    ratios, cuts = [], []
+    for lim in problem.limits:
+        value, grad = support_value(lim.panel, problem.probs, h, lim.measure)
+        ratios.append(-value / lim.limit)
+        cuts.append(-grad / lim.limit)
+    return np.array(ratios), cuts
+
+
+def _no_good_deal(v: np.ndarray) -> UnboundedError:
+    return UnboundedError(
+        f"No-Good-Deals violated: portfolio direction {v.tolist()} has "
+        f"nonpositive risk under every limit; the objective is unbounded")
+
+
+def _no_good_deals_check(problem: OptimizationProblem) -> list:
+    """Starting cuts: every limit at +-e_i for each asset. UnboundedError when
+    a direction the box leaves open has nonpositive risk under every limit."""
+    lo, hi = problem.bounds.T
+    seeds = []
+    for i in range(problem.rewards.size):
+        for s in (1.0, -1.0):
+            v = np.zeros(problem.rewards.size)
+            v[i] = s
+            ratios, cuts = _ratios_and_cuts(problem, v)
+            seeds.extend(cuts)
+            if np.isinf(hi[i] if s > 0 else lo[i]) and ratios.max() <= 0.0:
+                raise _no_good_deal(v)
+    return seeds
+
+
+def _ray_cuts(problem: OptimizationProblem, a: np.ndarray) -> list:
+    """Cuts closing the best ray, within the unit cube, of the relaxation
+    a.h <= 1 in the box. UnboundedError when no limit sees risk along it."""
+    from scipy.optimize import linprog
+
+    cone = np.where(np.isinf(problem.bounds), np.sign(problem.bounds), 0.0)
+    res = linprog(-problem.rewards, A_ub=a, b_ub=np.zeros(len(a)), bounds=cone,
+                  method="highs")
+    if res.status != 0 or not float(problem.rewards @ res.x) > 0.0:
+        raise CrmError(f"cutting-plane LP failed: {res.message}")
+    ratios, cuts = _ratios_and_cuts(problem, res.x)
+    # a risk within rounding of zero (relative to the ray's largest scenario
+    # P&L) cannot cut the ray off: it counts as nonpositive
+    noise = [1e-12 * np.abs(lim.panel @ res.x).max() / lim.limit
+             for lim in problem.limits]
+    if np.all(ratios <= noise):
+        raise _no_good_deal(res.x)
+    return [c for c, r, n in zip(cuts, ratios, noise) if r > n]
 
 
 def solve_portfolio(problem: OptimizationProblem, tol: float = 1e-4,
-                    max_iter: int = 600, restarts: int = 10, seed: int = 0,
-                    step_a: float = 1.0, step_b: float = 10.0,
-                    check_no_good_deals: bool = True) -> PortfolioSolution:
-    """Maximize reward subject to all risk limits.
+                    max_iter: int = 600, restarts: int = 10,
+                    seed: int = 0) -> PortfolioSolution:
+    """Maximize reward subject to all risk limits (and the box, if any).
 
-    Projected supergradient ascent (Polyak steps a/(b+k), normalized
-    supergradients, best-iterate tracking) on the reward-one slice, restarted
-    from `restarts` perturbed starting points; the returned portfolio is
-    rescaled so every limit holds and the worst one binds within tol of its
-    limit. Raises UnboundedError when a direction with nonpositive risk is
-    detected; if no restart converges, the best iterate is returned with
-    converged=False.
+    Each round solves the LP max e.h over the cuts found so far (HiGHS) and
+    adds the cut of every limit the LP point violates. The LP value bounds
+    the optimum from above, the LP point scaled back inside the limits from
+    below; converged means the two met within tol relative to the upper
+    bound before max_iter rounds. A relaxation without a finite optimum is
+    cut along a ray instead. `restarts` and `seed` do nothing; they stay for
+    compatibility.
     """
+    from scipy.optimize import linprog
+
     e = problem.rewards
-    d = e.size
-    if check_no_good_deals:
-        _no_good_deals_check(problem, n_dirs=32, seed=seed)
-    e_norm2 = float(e @ e)
-
-    def project(h):
-        return h + ((1.0 - float(h @ e)) / e_norm2) * e
-
-    def ratio_and_grad(h):
-        worst = math.inf
-        worst_grad = None
-        for lim in problem.limits:
-            val, grad = support_value(lim.panel, problem.probs, h, lim.measure)
-            r = val / lim.limit
-            if r < worst:
-                worst = r
-                worst_grad = grad / lim.limit
-        return worst, worst_grad
-
-    base = project(e / e_norm2)
-    starts = [base]
-    if restarts > 1:
-        u = _kernels.uniforms(seed, 0, (restarts - 1) * d)
-        pert = (u.reshape(restarts - 1, d) - 0.5)
-        scale = float(np.linalg.norm(base)) + 1.0
-        starts.extend(project(base + 0.5 * scale * p) for p in pert)
-
-    best_f = -math.inf
-    best_h = base
-    total_iter = 0
-    converged_any = False
-    for h0 in starts:
-        h = h0
-        f_best_local = -math.inf
-        h_best_local = h0
-        stall = 0
-        for k in range(max_iter):
-            f, g = ratio_and_grad(h)
-            if f >= 0.0:
-                raise UnboundedError(
-                    "No-Good-Deals violated during ascent: a feasible direction has "
-                    "nonpositive risk; the objective is unbounded")
-            if f > f_best_local:
-                improve = f - f_best_local
-                f_best_local = f
-                h_best_local = h
-                stall = 0 if improve > tol * abs(f_best_local) else stall + 1
-            else:
-                stall += 1
-            if stall >= 50:
-                converged_any = True
-                break
-            g_proj = g - (float(g @ e) / e_norm2) * e
-            g_norm = float(np.linalg.norm(g_proj))
-            if g_norm <= 1e-15:
-                converged_any = True
-                break
-            h = project(h + (step_a / (step_b + k)) * (g_proj / g_norm))
-            total_iter += 1
-        if f_best_local > best_f:
-            best_f = f_best_local
-            best_h = h_best_local
-    if not np.isfinite(best_f) or best_f >= 0.0:
-        raise UnboundedError("objective is unbounded (nonpositive risk at optimum)")
-    h_star = best_h / (-best_f)
+    cuts = _no_good_deals_check(problem)
+    best_h, best_f = np.zeros(e.size), 0.0  # zero holdings are always feasible
+    converged = False
+    rounds = 0
+    while rounds < max_iter and not converged:
+        rounds += 1
+        a = np.array(cuts)
+        res = linprog(-e, A_ub=a, b_ub=np.ones(len(a)), bounds=problem.bounds,
+                      method="highs")
+        if res.status != 0:
+            # zero is feasible, so the relaxation is unbounded (HiGHS's
+            # presolve may report that as infeasible)
+            cuts.extend(_ray_cuts(problem, a))
+            continue
+        ratios, new = _ratios_and_cuts(problem, res.x)
+        bound = float(e @ res.x)
+        worst = max(float(ratios.max()), 1.0)
+        if bound / worst > best_f:
+            best_h, best_f = res.x / worst, bound / worst
+        converged = bound - best_f <= tol * abs(bound)
+        cuts.extend(c for c, r in zip(new, ratios) if r > 1.0)
+    h_star = best_h
     risks = np.array([-support_value(lim.panel, problem.probs, h_star, lim.measure)[0]
                       for lim in problem.limits])
     ratios = risks / np.array([lim.limit for lim in problem.limits])
     binding = tuple(int(i) for i in np.flatnonzero(ratios >= 1.0 - tol))
-    # final scaling guarantees feasibility: worst ratio is exactly one up to
-    # the arithmetic of the rescale; nudge inside if rounding pushed it out
+    # the best point is feasible up to the arithmetic of its rescale; nudge
+    # inside if rounding pushed it out
     worst = float(ratios.max())
     if worst > 1.0:
         h_star = h_star / worst
         risks = risks / worst
     return PortfolioSolution(h=h_star, objective=float(h_star @ e),
                              binding=binding, risks=risks,
-                             converged=converged_any, iterations=total_iter,
-                             restarts=len(starts))
+                             converged=converged, iterations=rounds)
 
 
 # ---------------------------------------------------------------------------

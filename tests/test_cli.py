@@ -490,6 +490,18 @@ class TestOptimizeCommand:
         assert code == 1 and captured.out == ""
         assert re.search(where, captured.err), captured.err
 
+    @pytest.mark.parametrize("limit", ["NaN", "Infinity", '"abc"', "-1", "0", "[1.0]"])
+    def test_bad_limit_names_file_entry_and_key(self, tmp_path, capsys, limit):
+        argv = self._inputs(tmp_path)
+        lpath = tmp_path / "limits.json"
+        lpath.write_text('[{"measure": "tail:0.5", "limit": 2.0}, '
+                         f'{{"measure": "tail:0.5", "limit": {limit}}}]')
+        code = cli.run_command(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert (f"{lpath}: entry 1: key 'limit' must be a positive finite number, "
+                f"got {json.loads(limit)!r}") in captured.err
+
 
 class TestEquilibriumCommand:
     @pytest.mark.parametrize("path, key", [
@@ -513,6 +525,58 @@ class TestEquilibriumCommand:
         err = capsys.readouterr().err
         assert code == 1
         assert str(fpath) in err and repr(key) in err
+
+    @pytest.mark.parametrize("path, key, value, need", [
+        (("desks", 1), "rewards", [float("nan")], "one finite number per column"),
+        (("desks", 1), "rewards", ["abc"], "one finite number per column"),
+        (("desks", 1), "rewards", [1.0, 2.0], "one finite number per column"),
+        (("limits", 0), "limit", float("nan"), "a positive finite number"),
+        (("limits", 0), "limit", -1.0, "a positive finite number"),
+        (("desks", 0), "bounds", [[0.001, 0.01]],
+         "one [lo, hi] pair per column with lo <= 0 <= hi"),
+        (("desks", 0), "bounds", [[-1.0, float("nan")]],
+         "one [lo, hi] pair per column with lo <= 0 <= hi"),
+        (("desks", 0), "bounds", [[-1.0, 1.0], [-1.0, 1.0]],
+         "one [lo, hi] pair per column with lo <= 0 <= hi"),
+    ])
+    def test_bad_number_names_file_entry_and_key(self, tmp_path, capsys, path, key,
+                                                 value, need):
+        write_panel(tmp_path / "d.csv", ["A", "B"], [[1.0, 2.0], [-1.0, 0.5]])
+        firm = {"desks": [
+                    {"name": "d1", "panel": "d.csv", "columns": ["A"], "rewards": [1.0]},
+                    {"name": "d2", "panel": "d.csv", "columns": ["B"], "rewards": [1.0]}],
+                "limits": [{"measure": "tail:0.5", "limit": 1.0}]}
+        firm[path[0]][path[1]][key] = value
+        fpath = tmp_path / "firm.json"
+        fpath.write_text(json.dumps(firm))
+        code = cli.run_command(["equilibrium", "--firm", str(fpath), "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert (f"{fpath}: {path[0]}[{path[1]}]: key {key!r} must be {need}, "
+                f"got {value!r}") in captured.err
+
+    def test_boxed_desk_stays_in_its_box(self, tmp_path, capsys):
+        rng = np.random.default_rng(7)
+        write_panel(tmp_path / "d.csv", ["A", "B"],
+                    (rng.standard_normal((2000, 2)) + 0.05).round(6).tolist())
+        firm = {"desks": [
+                    {"name": "d1", "panel": "d.csv", "columns": ["A"], "rewards": [1.0]},
+                    {"name": "d2", "panel": "d.csv", "columns": ["B"], "rewards": [1.0]}],
+                "limits": [{"measure": "tail:0.1", "limit": 1.0}]}
+        holdings = []
+        for box in (None, [[0.0, 0.01]]):
+            if box:
+                firm["desks"][0]["bounds"] = box
+            fpath = tmp_path / "firm.json"
+            fpath.write_text(json.dumps(firm))
+            code, rep = run(capsys, ["equilibrium", "--firm", fpath, "--seed", 1])
+            assert code == 0
+            v = rep["verification"]
+            assert v["trades_zero_sum"] and v["feasible"] and v["some_binding"]
+            holdings.append(rep["holdings"])
+        assert holdings[0]["d1"][0] > 0.1           # the box binds
+        assert 0.01 * (1.0 - 1e-3) <= holdings[1]["d1"][0] <= 0.01
+        assert holdings[1]["d2"][0] > holdings[0]["d2"][0]
 
     SMALL = {"a.csv": "date,A,B\n2025-01-01,1.0,0.5\n2025-01-02,-1.0,2.0\n"
                       "2025-01-03,0.5,-1.5\n",

@@ -1,4 +1,4 @@
-"""Support function, supergradient solver, geometric oracle."""
+"""Support function, cutting-plane solver, geometric oracle."""
 
 import math
 
@@ -121,6 +121,29 @@ class TestSolver:
                                      [O.RiskLimit(D.tail(0.5), 1.0, panel, "")])
         with pytest.raises(UnboundedError):
             O.solve_portfolio(prob, restarts=1, max_iter=50, seed=0)
+
+    def test_riskless_asset_held_to_its_box(self):
+        # nonpositive risk along +e_1 is no violation when the box closes it
+        panel = np.abs(np.random.default_rng(10).standard_normal((500, 1))) + 0.1
+        prob = O.OptimizationProblem(np.array([1.0]),
+                                     [O.RiskLimit(D.tail(0.5), 1.0, panel, "")],
+                                     bounds=np.array([[-np.inf, 2.0]]))
+        sol = O.solve_portfolio(prob)
+        assert sol.converged and sol.h[0] == 2.0 and sol.binding == ()
+
+    @pytest.mark.parametrize("bounds", [[[0.5, 1.0]], [[-1.0, -0.5]], [[1.0, -1.0]],
+                                        [[-1.0, 1.0], [-1.0, 1.0]]])
+    def test_box_must_contain_zero(self, bounds):
+        with pytest.raises(ValueError, match="lo <= 0 <= hi"):
+            O.OptimizationProblem(np.array([1.0]),
+                                  [O.RiskLimit(D.tail(0.5), 1.0, two_point_panel())],
+                                  bounds=np.array(bounds))
+
+    def test_max_iter_caps_lp_rounds(self):
+        prob = self.gaussian_problem(t=5000, seed=3)
+        sol = O.solve_portfolio(prob, max_iter=1)
+        assert sol.iterations == 1 and not sol.converged
+        assert np.all(sol.risks <= 1.0 + 1e-12)
 
     def test_factor_mapped_limit_uses_conditional_panel(self):
         # a second asset independent of the factor carries no factor risk, so
