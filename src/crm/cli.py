@@ -30,7 +30,7 @@ from . import mc as _mc
 from . import optimize as _optimize
 from . import sampling as _sampling
 from . import sharing as _sharing
-from .contribution import capital_allocation, tail_correlation
+from .contribution import capital_allocation, risk_contribution, tail_correlation
 from .errors import CrmError, DataError
 from .panel import JointPanel, _number, align, ingest_panel
 from .scenario import ScenarioDistribution, tail_var, weighted_var
@@ -119,6 +119,16 @@ def _limit_value(entry, where: str) -> float:
     return float(_numbers(_require(entry, "limit", where), f"{where}: key 'limit'",
                           "a positive finite number",
                           lambda a: a.ndim == 0 and np.isfinite(a) and a > 0.0))
+
+
+def _measure(text, where: str):
+    """parse_measure(text), its error naming where the spec was read."""
+    if not isinstance(text, str):
+        raise DataError(f"{where}: measure spec must be a string, got {text!r}")
+    try:
+        return _distortion.parse_measure(text)
+    except ValueError as exc:
+        raise DataError(f"{where}: {exc}") from None
 
 
 def _columns_arg(text):
@@ -387,29 +397,28 @@ def _cmd_factor(args) -> dict:
     measure = _distortion.parse_measure(args.measure)
     reg = _parse_regression(args.regression)
     method = reg.pop("method")
-    trade_series = None
+    targets = [w_series]
     if args.trade:
         trade = _ingest_unweighted(args.trade, "factor", args.returns)
         ti = _cover([panel.dates[i] for i in pi], args.input, trade, args.trade)
-        trade_series = trade.series(_columns_arg(args.trade_columns))[ti]
-    rows = []
-    for j, name in enumerate(factors.assets):
-        y = factors.pnl[fi, j]
-        row = {"factor": name,
-               "factor_risk": _factor.factor_risk(w_series, y, measure,
-                                                  method=method, **reg)}
-        if trade_series is not None:
-            row["factor_contribution"] = _factor.factor_contribution(
-                trade_series, w_series, y, measure, method=method, **reg)
-        rows.append(row)
+        targets.append(trade.series(_columns_arg(args.trade_columns))[ti])
+
+    def risks(y, key):
+        """Factor risk of the firm and, with --trade, the trade's factor
+        contribution to it, from one fit of both on the factor sample y."""
+        fitted_w, *fitted_trade = _factor.conditional_means(
+            np.column_stack(targets), y, method, **reg).T
+        out = {f"{key}_risk": weighted_var(ScenarioDistribution(fitted_w), measure)}
+        if fitted_trade:
+            out[f"{key}_contribution"] = risk_contribution(fitted_trade[0], fitted_w,
+                                                           None, measure)
+        return out
+
+    rows = [{"factor": name, **risks(factors.pnl[fi, j], "factor")}
+            for j, name in enumerate(factors.assets)]
     out = {"measure": args.measure, "regression": args.regression, "factors": rows}
     if args.joint:
-        y = factors.pnl[fi]
-        out["joint_factor_risk"] = _factor.factor_risk(
-            w_series, y, measure, method=method, **reg)
-        if trade_series is not None:
-            out["joint_factor_contribution"] = _factor.factor_contribution(
-                trade_series, w_series, y, measure, method=method, **reg)
+        out.update(risks(factors.pnl[fi], "joint_factor"))
     return out
 
 
@@ -429,7 +438,7 @@ def _cmd_optimize(args) -> dict:
         where = f"{args.limits}: entry {i}"
         text = _require(entry, "measure", where)
         limit = _limit_value(entry, where)
-        measure = _distortion.parse_measure(text)
+        measure = _measure(text, where)
         label = entry.get("label") or f"{text}<= {entry['limit']}"
         if entry.get("factor"):
             if factors is None:
@@ -441,10 +450,8 @@ def _cmd_optimize(args) -> dict:
                 col = factors.column_index(entry["factor"])
             except DataError as exc:
                 raise DataError(f"{where}: {args.factors}: {exc}") from None
-            y = factors.pnl[fidx, col]
-            cols = [_factor.fit_conditional_mean(y, panel.pnl[:, j], method, **reg)
-                    .predict(y[:, None]) for j in range(panel.pnl.shape[1])]
-            eff_panel = np.column_stack(cols)
+            eff_panel = _factor.conditional_means(panel.pnl, factors.pnl[fidx, col],
+                                                  method, **reg)
             label += f" | {entry['factor']}"
         else:
             eff_panel = panel.pnl
@@ -539,19 +546,25 @@ def _cmd_equilibrium(args) -> dict:
     # the rounding of the solver's matrix products
     desks = [_sharing.Desk(panel=p.pnl[r][:, pick], **spec)
              for p, r, pick, spec in zip(panels, rows, picks, specs)]
-    texts, limit_vals = [], []
+    texts, limit_vals, measures = [], [], []
     for i, entry in enumerate(limit_spec):
         where = f"{args.firm}: limits[{i}]"
         texts.append(_require(entry, "measure", where))
         limit_vals.append(_limit_value(entry, where))
-    measures = [_distortion.parse_measure(t) for t in texts]
+        measures.append(_measure(texts[-1], where))
     limit_vals = np.array(limit_vals)
     if "allocation" in spec:
-        allocation = np.asarray(spec["allocation"], dtype=float)
+        allocation = _numbers(spec["allocation"], f"{args.firm}: key 'allocation'",
+                              "one finite row per desk and one column per limit",
+                              lambda a: a.shape == (len(desks), limit_vals.size)
+                              and np.all(np.isfinite(a)))
     else:
         allocation = np.tile(limit_vals / len(desks), (len(desks), 1))
-    firm = _sharing.FirmInstance(desks=desks, measures=measures, limits=limit_vals,
-                                 allocation=allocation)
+    try:
+        firm = _sharing.FirmInstance(desks=desks, measures=measures, limits=limit_vals,
+                                     allocation=allocation)
+    except ValueError as exc:  # e.g. allocation columns that miss the limits
+        raise DataError(f"{args.firm}: {exc}") from None
     stacked = np.hstack([d.panel for d in desks])
     rewards = np.concatenate([d.rewards for d in desks])
     limits = [_optimize.RiskLimit(m, float(c), stacked, label=t)

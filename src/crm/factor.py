@@ -21,12 +21,14 @@ from .distortion import WeightingMeasure
 from .scenario import ScenarioDistribution, weighted_var
 
 __all__ = ["KernelRegressor", "KNearestRegressor", "AnalyticRegressor",
-           "fit_conditional_mean", "factor_risk", "gaussian_factor_risk",
-           "factor_contribution", "factor_model_diagnostic"]
+           "fit_conditional_mean", "conditional_means", "factor_risk",
+           "gaussian_factor_risk", "factor_contribution", "factor_model_diagnostic"]
 
 _MAX_FACTOR_DIM = 5
 _KERNEL_NEIGHBORS = 256
 _BINS_1D = 2048
+# query rows per prediction block: the weight block, not T, sets peak memory
+_BLOCK_ROWS = 128
 
 
 def _as_factor_matrix(y) -> np.ndarray:
@@ -49,6 +51,25 @@ def _silverman_bandwidths(y: np.ndarray) -> np.ndarray:
     return sd * factor
 
 
+def _blocks(rows: int):
+    for lo in range(0, rows, _BLOCK_ROWS):
+        yield slice(lo, lo + _BLOCK_ROWS)
+
+
+class _Targets:
+    """Targets of a data-driven regressor: one series (T,) or n series (T, n),
+    held as n contiguous rows so every target shares one pass over the
+    factor sample."""
+
+    def __init__(self, x: np.ndarray):
+        self._single = x.ndim == 1
+        self._x = np.ascontiguousarray(x[None, :] if self._single else x.T)
+
+    def _shaped(self, out: np.ndarray) -> np.ndarray:
+        """(n, Q) predictions in the shape of the fitted targets."""
+        return out[0] if self._single else np.ascontiguousarray(out.T)
+
+
 class AnalyticRegressor:
     """Conditional mean supplied by the caller as a function of the factor."""
 
@@ -62,33 +83,40 @@ class AnalyticRegressor:
         return out.reshape(y.shape[0])
 
 
-class KNearestRegressor:
-    """Mean of the targets at the k nearest fitted factor points."""
+class KNearestRegressor(_Targets):
+    """Mean of the targets at the k nearest fitted factor points; one tree
+    query serves every target."""
 
     def __init__(self, y: np.ndarray, x: np.ndarray, k: int):
         if k < 1:
             raise ValueError("k must be >= 1")
         from scipy.spatial import cKDTree
 
+        super().__init__(x)
         self.k = min(k, y.shape[0])
         self._tree = cKDTree(y)
-        self._x = x
 
     def predict(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=float)
-        _, idx = self._tree.query(y, k=self.k)
-        if self.k == 1:
-            return self._x[idx]
-        return self._x[idx].mean(axis=1)
+        if y.ndim == 1:
+            y = y[:, None]
+        out = np.empty((self._x.shape[0], y.shape[0]))
+        for s in _blocks(y.shape[0]):
+            _, idx = self._tree.query(y[s], k=self.k)
+            near = np.take(self._x, idx, axis=1)
+            out[:, s] = near if self.k == 1 else near.mean(axis=2)
+        return self._shaped(out)
 
 
-class KernelRegressor:
+class KernelRegressor(_Targets):
     """Gaussian-kernel conditional mean with Silverman bandwidths per dimension.
 
-    One-dimensional factors use the standard binned fast path; higher
-    dimensions evaluate exact Gaussian weights on a KD-tree-truncated
-    neighbourhood. Degenerate (zero-spread) factors fall back to the global
-    mean; queries far outside the data collapse to the nearest sample.
+    One-dimensional factors use the standard binned fast path: the counts and
+    every target's sums share one bin table, so each block of query rows
+    takes one exp and one matrix product. Higher dimensions evaluate exact
+    Gaussian weights on a KD-tree-truncated neighbourhood, one tree query per
+    block for all targets. Degenerate (zero-spread) factors fall back to the
+    global mean; queries far outside the data collapse to the nearest sample.
     """
 
     def __init__(self, y: np.ndarray, x: np.ndarray, bandwidth=None):
@@ -99,12 +127,12 @@ class KernelRegressor:
             h = np.broadcast_to(np.asarray(bandwidth, dtype=float), (m,)).copy()
             if np.any(h <= 0.0):
                 raise ValueError("bandwidth must be > 0")
-        self._degenerate = bool(np.any(h <= 0.0))
-        self._mean = float(x.mean())
+        super().__init__(x)
+        x = self._x
         # constant targets reproduce exactly (downstream ranking relies on it)
-        if np.all(x == x[0]):
-            self._degenerate = True
-            self._mean = float(x[0])
+        self._const = np.all(x == x[:, :1], axis=1)
+        self._mean = np.where(self._const, x[:, 0], x.mean(axis=1))
+        self._degenerate = bool(np.any(h <= 0.0) or np.all(self._const))
         self._h = np.where(h > 0.0, h, 1.0)
         self._m = m
         if self._degenerate:
@@ -112,77 +140,77 @@ class KernelRegressor:
         if m == 1:
             ys = y[:, 0]
             lo, hi = ys.min(), ys.max()
-            span = hi - lo
             nb = min(_BINS_1D, max(16, t))
             edges = np.linspace(lo, hi, nb + 1)
             which = np.clip(np.searchsorted(edges, ys, side="right") - 1, 0, nb - 1)
             self._centers = 0.5 * (edges[:-1] + edges[1:])
-            self._bin_n = np.bincount(which, minlength=nb).astype(float)
-            self._bin_sx = np.bincount(which, weights=x, minlength=nb)
-            self._span = span
+            # row 0: bin counts; row 1 + j: bin sums of target j
+            self._table = np.array([np.bincount(which, minlength=nb)]
+                                   + [np.bincount(which, weights=row, minlength=nb)
+                                      for row in x], dtype=float)
         else:
             from scipy.spatial import cKDTree
 
             self._tree = cKDTree(y / self._h)
-            self._y = y
-            self._x = x
 
     def predict(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=float)
         if y.ndim == 1:
             y = y[:, None]
         if self._degenerate:
-            return np.full(y.shape[0], self._mean)
-        if self._m == 1:
-            return self._predict_1d(y[:, 0])
-        return self._predict_nd(y)
+            return self._shaped(np.repeat(self._mean[:, None], y.shape[0], axis=1))
+        out = np.empty((self._x.shape[0], y.shape[0]))
+        for s in _blocks(y.shape[0]):
+            if self._m == 1:
+                out[:, s] = self._predict_1d(y[s, 0])
+            else:
+                out[:, s] = self._predict_nd(y[s])
+        out[self._const] = self._mean[self._const, None]
+        return self._shaped(out)
 
     def _predict_1d(self, q: np.ndarray) -> np.ndarray:
-        h = self._h[0]
-        z = (q[:, None] - self._centers[None, :]) / h
-        logw = -0.5 * z * z
-        logw_max = logw.max(axis=1, keepdims=True)
-        wgt = np.exp(logw - logw_max) * self._bin_n[None, :]
-        denom = wgt.sum(axis=1)
-        numer = (np.exp(logw - logw_max) * self._bin_sx[None, :]).sum(axis=1)
-        out = np.empty(q.size)
-        ok = denom > 0.0
-        out[ok] = numer[ok] / denom[ok]
-        if np.any(~ok):  # fully underflowed: nearest bin with data
-            occupied = self._bin_n > 0.0
+        logw = q[:, None] - self._centers[None, :]
+        logw /= self._h[0]
+        logw *= logw
+        logw *= -0.5
+        logw -= logw.max(axis=1, keepdims=True)
+        sums = self._table @ np.exp(logw, out=logw).T
+        ok = sums[0] > 0.0
+        out = sums[1:] / np.where(ok, sums[0], 1.0)
+        if not np.all(ok):  # fully underflowed: nearest bin with data
+            occupied = self._table[0] > 0.0
             cc = self._centers[occupied]
-            vals = self._bin_sx[occupied] / self._bin_n[occupied]
+            vals = self._table[1:, occupied] / self._table[0, occupied]
             nearest = np.abs(q[~ok, None] - cc[None, :]).argmin(axis=1)
-            out[~ok] = vals[nearest]
+            out[:, ~ok] = vals[:, nearest]
         return out
 
     def _predict_nd(self, q: np.ndarray) -> np.ndarray:
-        qs = q / self._h
-        k = min(_KERNEL_NEIGHBORS, self._y.shape[0])
-        dist, idx = self._tree.query(qs, k=k)
-        dist = np.atleast_2d(dist)
-        idx = np.atleast_2d(idx)
+        k = min(_KERNEL_NEIGHBORS, self._tree.n)
+        dist, idx = self._tree.query(q / self._h, k=k)
         logw = -0.5 * dist * dist
         logw -= logw.max(axis=1, keepdims=True)
         wgt = np.exp(logw)
-        return (wgt * self._x[idx]).sum(axis=1) / wgt.sum(axis=1)
+        return (wgt * np.take(self._x, idx, axis=1)).sum(axis=2) / wgt.sum(axis=1)
 
 
 def fit_conditional_mean(y, x, method: str = "auto", *, bandwidth=None,
                          k: Optional[int] = None, fn: Optional[Callable] = None):
     """Fit a conditional-mean regressor of x on the factor sample y.
 
-    method: "kernel", "knn", "analytic", or "auto" (kernel up to 3 factor
-    dimensions, knn above). Data-driven methods need at least two samples.
+    x is one target (T,) or n targets (T, n); one fit serves them all, and
+    predict returns values in the same layout. method: "kernel", "knn",
+    "analytic", or "auto" (kernel up to 3 factor dimensions, knn above).
+    Data-driven methods need at least two samples.
     """
+    y = _as_factor_matrix(y)
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[0] != y.shape[0] or x.size == 0:
+        raise ValueError("x must align with the factor sample")
     if method == "analytic":
         if fn is None:
             raise ValueError("analytic method needs fn")
         return AnalyticRegressor(fn)
-    y = _as_factor_matrix(y)
-    x = np.asarray(x, dtype=float)
-    if x.shape != (y.shape[0],):
-        raise ValueError("x must align with the factor sample")
     if y.shape[0] < 2:
         raise ValueError("data-driven regression needs at least 2 samples")
     if method == "auto":
@@ -197,11 +225,10 @@ def fit_conditional_mean(y, x, method: str = "auto", *, bandwidth=None,
     raise ValueError(f"unknown regression method {method!r}")
 
 
-def _fitted_values(series, y, method, regressor_kwargs):
+def conditional_means(series, y, method: str = "auto", **regressor_kwargs) -> np.ndarray:
+    """Fitted conditional means on the factor sample y of one series (T,) or
+    of n series (T, n), from one fit."""
     y = _as_factor_matrix(y)
-    series = np.asarray(series, dtype=float)
-    if series.shape != (y.shape[0],):
-        raise ValueError("series must align with the factor sample")
     return fit_conditional_mean(y, series, method, **regressor_kwargs).predict(y)
 
 
@@ -209,7 +236,7 @@ def factor_risk(series, y, measure: WeightingMeasure, method: str = "auto",
                 probs=None, **regressor_kwargs) -> float:
     """Risk carried by the position through the factor: the risk of the fitted
     conditional mean evaluated on the factor sample."""
-    fitted = _fitted_values(series, y, method, regressor_kwargs)
+    fitted = conditional_means(series, y, method, **regressor_kwargs)
     return weighted_var(ScenarioDistribution(fitted, probs), measure)
 
 
@@ -217,20 +244,20 @@ def factor_contribution(x_series, w_series, y, measure: WeightingMeasure,
                         method: str = "auto", probs=None, fn=None, fn_w=None,
                         **regressor_kwargs) -> float:
     """Factor-risk contribution of x to w: the contribution between the two
-    fitted conditional means (risk-signed).
+    fitted conditional means (risk-signed), both from one fit.
 
     With the analytic method, `fn` is the conditional mean of x and `fn_w`
     that of the reference (defaulting to `fn` for self-contribution checks).
     """
-    kw_x = dict(regressor_kwargs)
-    kw_w = dict(regressor_kwargs)
     if method == "analytic":
-        kw_x["fn"] = fn
-        kw_w["fn"] = fn_w if fn_w is not None else fn
+        fx = conditional_means(x_series, y, method, fn=fn, **regressor_kwargs)
+        gw = conditional_means(w_series, y, method, fn=fn if fn_w is None else fn_w,
+                               **regressor_kwargs)
     elif fn is not None or fn_w is not None:
         raise ValueError("fn/fn_w are only meaningful with method='analytic'")
-    fx = _fitted_values(x_series, y, method, kw_x)
-    gw = _fitted_values(w_series, y, method, kw_w)
+    else:
+        fx, gw = conditional_means(np.column_stack([x_series, w_series]), y, method,
+                                   **regressor_kwargs).T
     return risk_contribution(fx, gw, probs, measure)
 
 

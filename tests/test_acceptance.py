@@ -23,6 +23,7 @@ from crm import sharing as SH
 from crm.contribution import capital_allocation, tail_correlation
 
 from conftest import gauss_grid_panel
+from geometric_oracle import geometric_solution
 
 
 def report(num, name, ok, detail=""):
@@ -261,9 +262,8 @@ def test_criterion_09_optimizer():
     solver_ok = cos >= 0.999 and abs(sol.objective / want_obj - 1.0) < 0.03
     # geometric oracle exactness
     ang = 2.0 * np.pi * np.arange(360) / 360.0
-    disk = O.geometric_solution(np.column_stack([np.cos(ang), np.sin(ang)]),
-                                [1.0, 0.0])
-    square = O.geometric_solution(
+    disk = geometric_solution(np.column_stack([np.cos(ang), np.sin(ang)]), [1.0, 0.0])
+    square = geometric_solution(
         np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]), [1.0, 0.0])
     geo_ok = (abs(disk.value - 1.0) < 1e-6
               and np.allclose(disk.h, [1.0, 0.0], atol=1e-6)

@@ -10,6 +10,7 @@ import pytest
 
 from crm import cli
 from crm import distortion as D
+from crm import factor as F
 from crm import scenario as S
 from crm.errors import DataError
 from crm.panel import ingest_panel
@@ -29,6 +30,20 @@ def run(capsys, argv):
     code = cli.run_command([str(a) for a in argv])
     out = capsys.readouterr().out
     return code, (json.loads(out) if out else None)
+
+
+def count_calls(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records the targets (second
+    argument) of every call; returns that record."""
+    fn = getattr(module, name)
+    calls = []
+
+    def counted(y, x, *args, **kwargs):
+        calls.append(np.asarray(x))
+        return fn(y, x, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def strip_timings(report):
@@ -377,6 +392,22 @@ class TestFactorJoint:
         assert code == 0
         assert np.isfinite(rep["joint_factor_risk"])
 
+    @pytest.mark.parametrize("regression", ["kernel", "knn:15"])
+    def test_one_fit_per_factor_sample(self, tmp_path, panel_csv, trade_csv, capsys,
+                                       monkeypatch, regression):
+        # the firm and the trade share each fit: one per factor column, one joint
+        rng = np.random.default_rng(9)
+        fpath = tmp_path / "f2.csv"
+        write_panel(fpath, ["F1", "F2"], rng.normal(size=(300, 2)).round(6).tolist())
+        calls = count_calls(monkeypatch, F, "fit_conditional_mean")
+        code, rep = run(capsys, ["factor", "--input", panel_csv, "--factors", fpath,
+                                 "--trade", trade_csv, "--measure", "tail:0.25",
+                                 "--regression", regression, "--joint"])
+        assert code == 0 and len(calls) == 3
+        assert [c.shape for c in calls] == [(300, 2)] * 3
+        for row in rep["factors"]:
+            assert np.isfinite(row["factor_risk"]) and np.isfinite(row["factor_contribution"])
+
 
 class TestOptimizeCommand:
     @pytest.mark.parametrize("key", ["measure", "limit"])
@@ -418,6 +449,26 @@ class TestOptimizeCommand:
         assert rep["risks"]["tail:0.5<= 1.0"] <= 1.0 + 1e-9
         assert rep["risks"]["tail:0.5<= 0.4 | Y"] <= 0.4 + 1e-9
         assert rep["binding"], "at least one limit must bind"
+
+    def test_factor_mapped_limit_fits_the_panel_once(self, tmp_path, capsys, monkeypatch):
+        rng = np.random.default_rng(11)
+        y = rng.standard_normal(400)
+        ppath = tmp_path / "pf.csv"
+        write_panel(ppath, ["A", "B", "C"],
+                    (y[:, None] + rng.standard_normal((400, 3))).round(6).tolist())
+        fpath = tmp_path / "ff.csv"
+        write_panel(fpath, ["Y"], y.round(6)[:, None].tolist())
+        rpath = tmp_path / "rf.csv"
+        rpath.write_text("asset,reward\nA,1.0\nB,0.5\nC,0.8\n")
+        lpath = tmp_path / "lf.json"
+        lpath.write_text(json.dumps([
+            {"measure": "tail:0.5", "limit": 1.0},
+            {"measure": "tail:0.5", "limit": 0.4, "factor": "Y"}]))
+        calls = count_calls(monkeypatch, F, "fit_conditional_mean")
+        code, _ = run(capsys, ["optimize", "--panel", ppath, "--rewards", rpath,
+                               "--limits", lpath, "--factors", fpath, "--seed", 2])
+        assert code == 0
+        assert [c.shape for c in calls] == [(400, 3)]
 
     def test_reports_feasible_solution(self, tmp_path, capsys):
         rng = np.random.default_rng(6)
@@ -502,6 +553,20 @@ class TestOptimizeCommand:
         assert (f"{lpath}: entry 1: key 'limit' must be a positive finite number, "
                 f"got {json.loads(limit)!r}") in captured.err
 
+    @pytest.mark.parametrize("measure, why", [
+        ("tail:abc", "malformed measure spec 'tail:abc'"),
+        ("cvar:0.1", "unknown measure kind 'cvar'"),
+        (5, "measure spec must be a string, got 5"),
+    ])
+    def test_malformed_measure_names_file_and_entry(self, tmp_path, capsys, measure, why):
+        argv = self._inputs(tmp_path)
+        lpath = tmp_path / "limits.json"
+        lpath.write_text(json.dumps([{"measure": measure, "limit": 2.0}]))
+        code = cli.run_command(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert f"{lpath}: entry 0: {why}" in captured.err
+
 
 class TestEquilibriumCommand:
     @pytest.mark.parametrize("path, key", [
@@ -554,6 +619,46 @@ class TestEquilibriumCommand:
         assert code == 1 and captured.out == ""
         assert (f"{fpath}: {path[0]}[{path[1]}]: key {key!r} must be {need}, "
                 f"got {value!r}") in captured.err
+
+    @staticmethod
+    def _two_desks(tmp_path, **extra):
+        write_panel(tmp_path / "d.csv", ["A", "B"], [[1.0, 2.0], [-1.0, 0.5]])
+        firm = {"desks": [
+                    {"name": "d1", "panel": "d.csv", "columns": ["A"], "rewards": [1.0]},
+                    {"name": "d2", "panel": "d.csv", "columns": ["B"], "rewards": [1.0]}],
+                "limits": [{"measure": "tail:0.5", "limit": 1.0}], **extra}
+        fpath = tmp_path / "firm.json"
+        fpath.write_text(json.dumps(firm))
+        return fpath
+
+    def test_malformed_measure_names_file_and_entry(self, tmp_path, capsys):
+        fpath = self._two_desks(tmp_path)
+        firm = json.loads(fpath.read_text())
+        firm["limits"].append({"measure": "tail:abc", "limit": 1.0})
+        fpath.write_text(json.dumps(firm))
+        code = cli.run_command(["equilibrium", "--firm", str(fpath), "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert f"{fpath}: limits[1]: malformed measure spec 'tail:abc'" in captured.err
+
+    @pytest.mark.parametrize("allocation", [
+        [[float("nan")], [1.0]], [[1.0]], [[0.5, 0.5], [0.5, 0.5]], [["abc"], [1.0]],
+        [[float("inf")], [1.0]], 1.0,
+    ])
+    def test_bad_allocation_names_file_and_key(self, tmp_path, capsys, allocation):
+        fpath = self._two_desks(tmp_path, allocation=allocation)
+        code = cli.run_command(["equilibrium", "--firm", str(fpath), "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert (f"{fpath}: key 'allocation' must be one finite row per desk and one "
+                f"column per limit, got {allocation!r}") in captured.err
+
+    def test_allocation_off_the_limits_names_file(self, tmp_path, capsys):
+        fpath = self._two_desks(tmp_path, allocation=[[0.2], [0.2]])
+        code = cli.run_command(["equilibrium", "--firm", str(fpath), "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert f"{fpath}: allocation columns must sum to the firm limits" in captured.err
 
     def test_boxed_desk_stays_in_its_box(self, tmp_path, capsys):
         rng = np.random.default_rng(7)

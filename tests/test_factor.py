@@ -1,6 +1,7 @@
 """Conditional-mean regression, factor risk, and the model diagnostic."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,6 +63,25 @@ class TestRegression:
         rng = np.random.default_rng(4)
         with pytest.raises(ValueError):
             F.fit_conditional_mean(rng.normal(size=(50, 6)), rng.normal(size=50), "auto")
+
+    def test_misaligned_targets_rejected(self):
+        y = np.arange(10.0)
+        for x in (np.zeros(9), np.zeros((9, 2)), np.zeros((10, 0)), np.zeros((10, 2, 1))):
+            with pytest.raises(ValueError, match="align"):
+                F.fit_conditional_mean(y, x, "kernel")
+
+    def test_predict_memory_is_set_by_the_block_not_t(self):
+        # the dense T x 2048 float64 weight matrix would be 328 MB at T = 20,000
+        rng = np.random.default_rng(18)
+        y = rng.normal(size=20_000)
+        reg = F.fit_conditional_mean(y, rng.normal(size=(20_000, 2)), "kernel")
+        tracemalloc.start()
+        try:
+            reg.predict(y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
 
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ from crm import optimize as O
 from crm.errors import UnboundedError
 
 from conftest import gauss_grid_panel
+from geometric_oracle import geometric_solution
 
 
 def two_point_panel():
@@ -167,14 +168,14 @@ class TestGeometricSolution:
     def test_disk(self):
         ang = 2.0 * np.pi * np.arange(360) / 360.0
         pts = np.column_stack([np.cos(ang), np.sin(ang)])
-        sol = O.geometric_solution(pts, [1.0, 0.0])
+        sol = geometric_solution(pts, [1.0, 0.0])
         assert np.allclose(sol.boundary_point, [-1.0, 0.0], atol=1e-6)
         assert np.allclose(sol.h, [1.0, 0.0], atol=1e-6)
         assert sol.value == pytest.approx(1.0, abs=1e-6)
 
     def test_square_edge_hit(self):
         pts = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
-        sol = O.geometric_solution(pts, [1.0, 0.0])
+        sol = geometric_solution(pts, [1.0, 0.0])
         assert np.allclose(sol.boundary_point, [-1.0, 0.0], atol=1e-12)
         assert np.allclose(sol.h, [1.0, 0.0], atol=1e-12)
         assert sol.value == pytest.approx(1.0)
@@ -182,18 +183,18 @@ class TestGeometricSolution:
 
     def test_scaled_hull_halves_value(self):
         pts = 2.0 * np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
-        sol = O.geometric_solution(pts, [1.0, 0.0])
+        sol = geometric_solution(pts, [1.0, 0.0])
         assert sol.value == pytest.approx(0.5)
 
     def test_vertex_hit_is_degenerate(self):
         pts = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
-        sol = O.geometric_solution(pts, [1.0, 0.0])
+        sol = geometric_solution(pts, [1.0, 0.0])
         assert sol.degenerate
         assert np.allclose(sol.boundary_point, [-1.0, 0.0], atol=1e-12)
         assert sol.h[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_one_dimensional(self):
-        sol = O.geometric_solution(np.array([[-0.5], [2.0]]), [1.0])
+        sol = geometric_solution(np.array([[-0.5], [2.0]]), [1.0])
         assert sol.boundary_point[0] == pytest.approx(-0.5)
         assert sol.h[0] == pytest.approx(2.0)
         assert sol.value == pytest.approx(2.0)
@@ -201,14 +202,14 @@ class TestGeometricSolution:
     def test_three_dimensional_octahedron(self):
         pts = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0],
                         [0, 0, 1], [0, 0, -1]], dtype=float)
-        sol = O.geometric_solution(pts, [0.0, 0.0, 2.0])
+        sol = geometric_solution(pts, [0.0, 0.0, 2.0])
         assert np.allclose(sol.boundary_point, [0, 0, -1], atol=1e-12)
         assert sol.value == pytest.approx(2.0)
 
     def test_origin_not_interior_rejected(self):
         pts = np.array([[1.0, 0.0], [2.0, 1.0], [2.0, -1.0]])
         with pytest.raises(ValueError):
-            O.geometric_solution(pts, [1.0, 0.0])
+            geometric_solution(pts, [1.0, 0.0])
 
     def test_agreement_with_solver_on_sampled_generator(self):
         # build the generator of a 2-asset scenario law by sampling support
@@ -222,7 +223,7 @@ class TestGeometricSolution:
         for v in dirs:
             _, grad = O.support_value(panel, probs, v, m)
             pts.append(grad)
-        sol_geo = O.geometric_solution(np.asarray(pts), [1.0, 1.0])
+        sol_geo = geometric_solution(np.asarray(pts), [1.0, 1.0])
         prob = O.OptimizationProblem(
             rewards=np.array([1.0, 1.0]),
             limits=[O.RiskLimit(m, 1.0, panel, "")], probs=probs)
