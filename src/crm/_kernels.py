@@ -77,7 +77,9 @@ def row_argmin(w: np.ndarray) -> np.ndarray:
 
 def rank_columns(w: np.ndarray, beta: int) -> np.ndarray:
     """Column indices of the beta smallest entries per row, w-ascending,
-    ties broken by lowest column index."""
+    ties broken by lowest column index. One column is the argmin, O(K*alpha)."""
+    if beta == 1:
+        return row_argmin(w)[:, None]
     return np.argsort(w, axis=1, kind="stable")[:, :beta].astype(np.int64)
 
 

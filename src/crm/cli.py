@@ -46,39 +46,18 @@ _UNUSED_PROBS = "{path}: panel probability weights are not supported by {use}"
 # helpers
 # ---------------------------------------------------------------------------
 
-def _sanitize(obj):
-    if isinstance(obj, dict):
-        return {str(k): _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
+def _plain(obj):
+    """numpy arrays and scalars as the lists and numbers json writes."""
     if isinstance(obj, np.ndarray):
-        return _sanitize(obj.tolist())
+        return obj.tolist()
     if isinstance(obj, np.generic):
         return obj.item()
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _emit(report: dict, stream=None) -> None:
-    text = json.dumps(_sanitize(report), sort_keys=True, indent=2, allow_nan=False)
+    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False, default=_plain)
     (stream or sys.stdout).write(text + "\n")
-
-
-def _mc_orders(measure_text: str):
-    """(alpha, beta) for order-statistics MC when the measure supports it."""
-    head, _, rest = measure_text.strip().partition(":")
-    try:
-        if head == "alpha":
-            a = float(rest)
-            if a.is_integer() and a >= 1:
-                return int(a), 1
-        elif head == "beta":
-            a_s, b_s = rest.split(",")
-            a, b = float(a_s), float(b_s)
-            if a.is_integer() and b.is_integer() and 1 <= b <= a:
-                return int(a), int(b)
-    except ValueError:
-        pass
-    return None
 
 
 def _check_trials(trials: int) -> None:
@@ -88,8 +67,9 @@ def _check_trials(trials: int) -> None:
 
 
 def _check_solver(args) -> None:
-    """The cutting-plane solver needs at least one LP round; --restarts is
-    accepted for compatibility and checked the same way."""
+    """The cutting-plane solver needs at least one LP round. --restarts does
+    nothing; existing scripts (the crmbench workloads among them) still pass
+    it, so it is accepted and checked the same way."""
     for flag, value in (("--max-iter", args.max_iter), ("--restarts", args.restarts)):
         if value < 1:
             raise DataError(f"{flag} must be at least 1, got {value}")
@@ -121,12 +101,13 @@ def _limit_value(entry, where: str) -> float:
                           lambda a: a.ndim == 0 and np.isfinite(a) and a > 0.0))
 
 
-def _measure(text, where: str):
-    """parse_measure(text), its error naming where the spec was read."""
+def _spec(kind: str, text, where: str):
+    """The parsed measure or scheme spec, its error naming where it was read."""
     if not isinstance(text, str):
-        raise DataError(f"{where}: measure spec must be a string, got {text!r}")
+        raise DataError(f"{where}: {kind} spec must be a string, got {text!r}")
+    parse = _distortion.parse_measure if kind == "measure" else _sampling.parse_scheme
     try:
-        return _distortion.parse_measure(text)
+        return parse(text)
     except ValueError as exc:
         raise DataError(f"{where}: {exc}") from None
 
@@ -135,38 +116,32 @@ def _columns_arg(text):
     return [c.strip() for c in text.split(",")] if text else None
 
 
-def _effective_series(series: np.ndarray, scheme: _sampling.DrawScheme,
-                      standardize: bool):
-    """Scheme-transformed series plus the exact-evaluation weights.
-
-    Returns (effective series, probs for exact evaluation, scheme usable with
-    generate_draws over the effective series, exact_supported flag).
-    """
-    if scheme.kind == "uniform":
-        eff = series[:min(scheme.window, series.size)]
-        return eff, None, scheme, True
-    if scheme.kind == "geometric":
-        t = np.arange(1, series.size + 1, dtype=float)
-        pmf = (1.0 - scheme.decay) * scheme.decay ** (t - 1.0)
-        pmf /= pmf.sum()
-        return series, pmf, scheme, True
-    if scheme.kind == "bootstrap":
-        return series, None, scheme, False
-    if scheme.kind == "timechange":
-        eff = _sampling.time_change_series(series, scheme.sigma, scheme.subintervals,
-                                           standardize=standardize)
-        uni = _sampling.DrawScheme("uniform", window=eff.size)
-        return eff, None, uni, True
-    eff = _sampling.scale_series(series, scheme.sigma) if standardize else \
-        scheme.sigma * series
-    uni = _sampling.DrawScheme("uniform", window=eff.size)
-    return eff, None, uni, True
+def _ints(value, what: str, shape: tuple, lo: int, hi=None) -> np.ndarray:
+    """value as integers of `shape` in [lo, hi) (no upper bound when hi is
+    None), or a DataError naming what."""
+    try:
+        arr = np.asarray(value)
+        good = (arr.shape == shape and arr.dtype.kind == "i" and arr.size > 0
+                and arr.min() >= lo and (hi is None or arr.max() < hi))
+    except (TypeError, ValueError, OverflowError):
+        good = False
+    if not good:
+        span = f"at least {lo}" if hi is None else f"in [{lo}, {hi})"
+        need = f"integers {span} of shape {shape}" if shape else \
+            f"an integer {span}, got {value!r}"
+        raise DataError(f"{what} must be {need}")
+    return arr
 
 
-def _draw_values(series, scheme, seed, trials, draws_per_trial, standardize):
-    eff, _, draw_scheme, _ = _effective_series(series, scheme, standardize)
-    draws = _sampling.generate_draws(draw_scheme, eff.size, trials, draws_per_trial, seed)
-    return draws, _sampling.materialize(draws, eff), eff
+def _selected_shape(trials: int, b: int) -> tuple:
+    """Shape of an announce file's `selected`: schema v1 holds one column per
+    trial for B = 1, not a (trials, 1) array."""
+    return (trials,) if b == 1 else (trials, b)
+
+
+def _draw_values(eff, scheme, seed, trials, draws_per_trial):
+    draws = _sampling.generate_draws(scheme, eff.size, trials, draws_per_trial, seed)
+    return draws, _sampling.materialize(draws, eff)
 
 
 def _ingest_unweighted(path, use: str, returns: bool = False) -> JointPanel:
@@ -227,30 +202,28 @@ def _cmd_estimate(args) -> dict:
     series = panel.series(_columns_arg(args.columns))
     measure = _distortion.parse_measure(args.measure)
     scheme = _sampling.parse_scheme(args.scheme)
-    orders = _mc_orders(args.measure)
     out = {"measure": args.measure, "scheme": args.scheme, "seed": args.seed,
            "periods": panel.periods}
+    if args.trials and panel.probs is not None:
+        raise DataError(_NO_TRIAL_PROBS)
+    if not args.trials and scheme.kind == "bootstrap":
+        raise DataError(f"scheme {args.scheme} needs --trials")
+    eff, probs = _sampling.effective_series(series, scheme, args.standardize)
     if args.trials:
-        if panel.probs is not None:
-            raise DataError(_NO_TRIAL_PROBS)
-        if orders is not None:
-            a, b = orders
-            draws, values, eff = _draw_values(series, scheme, args.seed,
-                                              args.trials, a, args.standardize)
-            est = _mc.beta_var_mc(values, b) if b > 1 else _mc.alpha_var_mc(values)
+        # order-statistics measures average the B smallest of A draws per
+        # trial; any other measure weights the pooled draws of one per trial
+        a, b = measure.orders or (1, None)
+        _, values = _draw_values(eff, scheme, args.seed, args.trials, a)
+        if b is not None:
+            est = _mc.beta_var_mc(values, b)
             out.update(estimate=est.value, std_error=est.std_error,
                        trials=est.trials, method="monte-carlo")
             plot_dist = ScenarioDistribution(eff) if args.emit_plot_data else None
         else:
-            draws, values, _ = _draw_values(series, scheme, args.seed, args.trials, 1,
-                                            args.standardize)
             plot_dist = ScenarioDistribution(values.ravel())
             out.update(estimate=weighted_var(plot_dist, measure),
                        trials=args.trials, method="monte-carlo-weighted")
     else:
-        eff, probs, _, exact_ok = _effective_series(series, scheme, args.standardize)
-        if not exact_ok:
-            raise DataError(f"scheme {args.scheme} needs --trials")
         if panel.probs is not None:
             if probs is not None:
                 raise DataError("panel probability weights conflict with a weighting scheme")
@@ -281,21 +254,22 @@ def _cmd_announce(args) -> dict:
     if panel.probs is not None:
         raise DataError(_NO_TRIAL_PROBS)
     series = panel.series(_columns_arg(args.columns))
-    orders = _mc_orders(args.measure)
+    orders = _distortion.parse_measure(args.measure).orders
     if orders is None:
         raise DataError("announce needs an integer-order measure (alpha:A or beta:A,B)")
     a, b = orders
     scheme = _sampling.parse_scheme(args.scheme)
-    draws, values, eff = _draw_values(series, scheme, args.seed, args.trials, a,
-                                      args.standardize)
-    selected = _kernels.rank_columns(values, b) if b > 1 else _kernels.row_argmin(values)
+    eff, _ = _sampling.effective_series(series, scheme, args.standardize)
+    draws, values = _draw_values(eff, scheme, args.seed, args.trials, a)
+    selected = _kernels.rank_columns(values, b)
     payload = {
         "schema": ANNOUNCE_SCHEMA,
         "measure": args.measure, "scheme": args.scheme, "seed": args.seed,
         "trials": args.trials, "draws_per_trial": a, "order_beta": b,
         "series_len": int(eff.size),
         "first_date": panel.dates[0], "last_date": panel.dates[-1],
-        "indices": draws.indices, "selected": selected,
+        "indices": draws.indices,
+        "selected": selected.reshape(_selected_shape(args.trials, b)),
     }
     if args.out:
         with open(args.out, "w") as fh:
@@ -314,58 +288,59 @@ def _cmd_contrib(args) -> dict:
 
 
 def _contrib_announced(args) -> dict:
-    with open(args.announced) as fh:
+    path = args.announced
+    with open(path) as fh:
         ann = json.load(fh)
-    if ann.get("schema") != ANNOUNCE_SCHEMA:
-        raise DataError(f"{args.announced}: not an announce file")
+    if not isinstance(ann, dict) or ann.get("schema") != ANNOUNCE_SCHEMA:
+        raise DataError(f"{path}: not an announce file")
+
+    def ints(key, shape, lo, hi=None):
+        return _ints(_require(ann, key, path), f"{path}: key {key!r}", shape, lo, hi)
+
     panel = ingest_panel(args.input, returns=args.returns)
     if panel.probs is not None:
         raise DataError(_NO_TRIAL_PROBS)
     series = panel.series(_columns_arg(args.columns))
-    scheme = _sampling.parse_scheme(ann["scheme"])
-    eff, _, _, _ = _effective_series(series, scheme, args.standardize)
-    if eff.size < ann["series_len"]:
+    scheme_text = _require(ann, "scheme", path)
+    scheme = _spec("scheme", scheme_text, f"{path}: key 'scheme'")
+    series_len = int(ints("series_len", (), 1))
+    eff, _ = _sampling.effective_series(series, scheme, args.standardize)
+    if eff.size < series_len:
         raise DataError(
-            f"trade history too short: announce covers {ann['series_len']} periods, "
+            f"trade history too short: announce covers {series_len} periods, "
             f"trade has {eff.size}")
-    indices = np.asarray(ann["indices"], dtype=np.int64)
-    x_vals = eff[indices]
-    if x_vals.ndim == 3:
-        x_vals = x_vals.sum(axis=2)
-    k = x_vals.shape[0]
+    k = int(ints("trials", (), 1))
     if k < 2:
-        raise DataError(f"{args.announced}: holds {k} trial(s); a standard error "
-                        "needs at least 2")
-    b = int(ann["order_beta"])
-    sel = np.asarray(ann["selected"], dtype=np.int64)
-    if b > 1:
-        picked = _kernels.row_smallest_sums(x_vals, sel) / b
-    else:
-        picked = x_vals[np.arange(k), sel]
-    est = _mc._reduce(picked)
-    return {"measure": ann["measure"], "scheme": ann["scheme"], "seed": ann["seed"],
-            "trials": est.trials, "contribution": est.value,
+        raise DataError(f"{path}: holds {k} trial(s); a standard error needs at least 2")
+    a = int(ints("draws_per_trial", (), 1))
+    b = int(ints("order_beta", (), 1, a + 1))
+    cells = (k, a, scheme.subintervals) if scheme.kind == "bootstrap" else (k, a)
+    draws = _sampling.DrawMatrix(indices=ints("indices", cells, 0, series_len),
+                                 seed=_require(ann, "seed", path), scheme=scheme,
+                                 series_len=series_len)
+    selected = ints("selected", _selected_shape(k, b), 0, a)
+    est = _mc.selected_mean(_sampling.materialize(draws, eff), selected)
+    return {"measure": _require(ann, "measure", path), "scheme": scheme_text,
+            "seed": draws.seed, "trials": est.trials, "contribution": est.value,
             "std_error": est.std_error, "method": "announced"}
 
 
 def _contrib_inprocess(args) -> dict:
     measure = _distortion.parse_measure(args.measure)
-    orders = _mc_orders(args.measure)
-    if args.trials and orders is None:
+    if args.trials and measure.orders is None:
         raise DataError("Monte Carlo contribution needs alpha:A or beta:A,B")
     x_series, w_series, probs = _load_aligned(
         args.input, args.firm, _columns_arg(args.columns),
         _columns_arg(args.firm_columns), args.returns, trials=bool(args.trials))
     if args.trials:
-        a, b = orders
+        a, b = measure.orders
         scheme = _sampling.parse_scheme(args.scheme)
-        draws, w_vals, eff_w = _draw_values(w_series, scheme, args.seed, args.trials, a,
-                                            args.standardize)
-        eff_x, _, _, _ = _effective_series(x_series, scheme, args.standardize)
+        eff_w, _ = _sampling.effective_series(w_series, scheme, args.standardize)
+        draws, w_vals = _draw_values(eff_w, scheme, args.seed, args.trials, a)
+        eff_x, _ = _sampling.effective_series(x_series, scheme, args.standardize)
         x_vals = _sampling.materialize(draws, eff_x)
-        est = _mc.beta_contribution_mc(x_vals, w_vals, b) if b > 1 else \
-            _mc.alpha_contribution_mc(x_vals, w_vals)
-        firm_est = _mc.beta_var_mc(w_vals, b) if b > 1 else _mc.alpha_var_mc(w_vals)
+        est = _mc.beta_contribution_mc(x_vals, w_vals, b)
+        firm_est = _mc.beta_var_mc(w_vals, b)
         return {"measure": args.measure, "scheme": args.scheme, "seed": args.seed,
                 "trials": est.trials, "contribution": est.value,
                 "std_error": est.std_error, "firm_risk": firm_est.value,
@@ -438,7 +413,7 @@ def _cmd_optimize(args) -> dict:
         where = f"{args.limits}: entry {i}"
         text = _require(entry, "measure", where)
         limit = _limit_value(entry, where)
-        measure = _measure(text, where)
+        measure = _spec("measure", text, where)
         label = entry.get("label") or f"{text}<= {entry['limit']}"
         if entry.get("factor"):
             if factors is None:
@@ -458,8 +433,7 @@ def _cmd_optimize(args) -> dict:
         limits.append(_optimize.RiskLimit(measure, limit, eff_panel, label))
     problem = _optimize.OptimizationProblem(rewards=rewards, limits=limits,
                                             probs=panel.probs)
-    sol = _optimize.solve_portfolio(problem, tol=args.tol, max_iter=args.max_iter,
-                                    restarts=args.restarts, seed=args.seed)
+    sol = _optimize.solve_portfolio(problem, tol=args.tol, max_iter=args.max_iter)
     return {"seed": args.seed,
             "holdings": {a: h for a, h in zip(panel.assets, sol.h)},
             "objective": sol.objective,
@@ -551,7 +525,7 @@ def _cmd_equilibrium(args) -> dict:
         where = f"{args.firm}: limits[{i}]"
         texts.append(_require(entry, "measure", where))
         limit_vals.append(_limit_value(entry, where))
-        measures.append(_measure(texts[-1], where))
+        measures.append(_spec("measure", texts[-1], where))
     limit_vals = np.array(limit_vals)
     if "allocation" in spec:
         allocation = _numbers(spec["allocation"], f"{args.firm}: key 'allocation'",
@@ -572,8 +546,7 @@ def _cmd_equilibrium(args) -> dict:
     box = np.vstack([[(-np.inf, np.inf)] * d.rewards.size if d.bounds is None else d.bounds
                      for d in desks])
     problem = _optimize.OptimizationProblem(rewards=rewards, limits=limits, bounds=box)
-    sol = _optimize.solve_portfolio(problem, tol=args.tol, max_iter=args.max_iter,
-                                    restarts=args.restarts, seed=args.seed)
+    sol = _optimize.solve_portfolio(problem, tol=args.tol, max_iter=args.max_iter)
     holdings = np.split(sol.h, np.cumsum([d.rewards.size for d in desks])[:-1])
     prices, residual, risks = _sharing.equilibrium_prices(firm, holdings,
                                                           binding_tol=1e-3)
@@ -604,12 +577,14 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="crm", description="Coherent risk measurement toolkit")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def common(p, seed=True):
-        p.add_argument("--returns", action="store_true",
-                       help="input cells are price levels; difference them")
-        p.add_argument("--standardize", action="store_true",
-                       help="standardize increments by rolling volatility for "
-                            "timechange/scaling schemes")
+    def common(p, seed=True, returns=True, standardize=False):
+        if returns:
+            p.add_argument("--returns", action="store_true",
+                           help="input cells are price levels; difference them")
+        if standardize:
+            p.add_argument("--standardize", action="store_true",
+                           help="standardize increments by rolling volatility for "
+                                "timechange/scaling schemes")
         if seed:
             p.add_argument("--seed", type=int, required=True,
                            help="RNG seed (required: no implicit entropy)")
@@ -621,7 +596,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=0)
     p.add_argument("--columns")
     p.add_argument("--emit-plot-data", metavar="PREFIX")
-    common(p)
+    common(p, standardize=True)
     p.set_defaults(fn=_cmd_estimate)
 
     p = sub.add_parser("announce", help="publish draw arrays for desk-level pricing")
@@ -631,7 +606,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--columns")
     p.add_argument("--out")
-    common(p)
+    common(p, standardize=True)
     p.set_defaults(fn=_cmd_announce)
 
     p = sub.add_parser("contrib", help="risk contribution of a trade to the firm")
@@ -643,7 +618,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", default="")
     p.add_argument("--scheme", default="uniform:1000000000")
     p.add_argument("--trials", type=int, default=0)
-    common(p)
+    common(p, standardize=True)
     p.set_defaults(fn=_cmd_contrib)
 
     p = sub.add_parser("factor", help="factor risks and factor contributions")
@@ -690,7 +665,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--max-iter", type=int, default=600)
     p.add_argument("--restarts", type=int, default=10)
-    common(p)
+    common(p, returns=False)
     p.set_defaults(fn=_cmd_equilibrium)
 
     return parser

@@ -9,7 +9,8 @@ resolve it differently on purpose:
 * ``risk_contribution`` takes the infimum over the whole set (ties broken by
   the contributing position), which matches the directional derivative of the
   risk functional everywhere;
-* ``extreme_measure``/``capital_allocation`` use the symmetric representative
+* ``extreme_measure``/``capital_allocation`` (and the exact contribution
+  ``mc.weighted_contribution_empirical``) use the symmetric representative
   (tied blocks share mass proportionally to probability), which is what makes
   allocations well defined and exactly additive across components.
 """
@@ -31,10 +32,9 @@ __all__ = ["ExtremeWeights", "extreme_measure", "risk_contribution",
 
 @dataclass(frozen=True)
 class ExtremeWeights:
-    """Worst-case scenario weights for a reference P&L, plus provenance."""
+    """Worst-case scenario weights for a reference P&L."""
 
     weights: np.ndarray
-    anchor: str
     utility: float  # expectation of the reference P&L under the weights
 
 
@@ -46,7 +46,7 @@ def _aligned(x, w, probs):
     return x, w, _scenario_probs(x, probs)
 
 
-def extreme_measure(w, probs, measure: WeightingMeasure, anchor: str = "") -> ExtremeWeights:
+def extreme_measure(w, probs, measure: WeightingMeasure) -> ExtremeWeights:
     """Scenario weights realizing the worst case for the reference P&L w.
 
     Tied values share their block's distorted mass proportionally to their
@@ -67,7 +67,7 @@ def extreme_measure(w, probs, measure: WeightingMeasure, anchor: str = "") -> Ex
         out /= total
     util = _exact_dot(out, w)
     out.flags.writeable = False
-    return ExtremeWeights(weights=out, anchor=anchor, utility=util)
+    return ExtremeWeights(weights=out, utility=util)
 
 
 def risk_contribution(x, w, probs, measure: WeightingMeasure) -> float:

@@ -19,7 +19,7 @@ for atomic measures; ``tail(level)`` is stored as a one-atom mixture.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -43,9 +43,17 @@ class WeightingMeasure:
     kind: str                       # "mixture" | "beta"
     levels: np.ndarray = field(default=None)   # mixture: atom levels, ascending
     weights: np.ndarray = field(default=None)  # mixture: atom weights
-    a: float = field(default=None)  # beta: first parameter (> -1)
-    b: float = field(default=None)  # beta: second parameter in (-1, a)
+    a: float = field(default=None)  # beta: first parameter (> -1); beta(a, a) keeps it
+    b: float = field(default=None)  # beta: second parameter in (-1, a]
     label: str = field(default="")
+
+    @property
+    def orders(self):
+        """(A, B) for integers 1 <= B <= A, the measures whose Monte Carlo
+        estimate averages the B smallest of A draws; None otherwise."""
+        if self.a is None or not (self.a.is_integer() and self.b.is_integer()):
+            return None
+        return (int(self.a), int(self.b)) if 1 <= self.b <= self.a else None
 
     # -- evaluation ---------------------------------------------------------
 
@@ -198,7 +206,8 @@ def beta(a: float, b: float, label: str = "") -> WeightingMeasure:
     """Beta-family measure; averages the b smallest of a draws for integers.
 
     b == a is accepted and maps to the point mass at level 1 (plain -mean),
-    matching the standard closure of the family.
+    matching the standard closure of the family; that mixture keeps a and b,
+    so its ``orders`` stay (a, a).
     """
     a, b = float(a), float(b)
     if not (a > -1.0):
@@ -206,7 +215,8 @@ def beta(a: float, b: float, label: str = "") -> WeightingMeasure:
     if not (-1.0 < b <= a):
         raise ValueError(f"second parameter must lie in (-1, {a}], got {b}")
     if b == a:
-        return mixture([(1.0, 1.0)], label=label or f"beta:{_fmt(a)},{_fmt(b)}")
+        return replace(mixture([(1.0, 1.0)], label=label or f"beta:{_fmt(a)},{_fmt(b)}"),
+                       a=a, b=b)
     return WeightingMeasure(kind="beta", a=a, b=b, label=label)
 
 

@@ -1,10 +1,11 @@
 """Monte Carlo estimators over drawn realization matrices.
 
 A trial is one row of a (K, alpha) matrix of drawn P&L realizations. The
-order-statistics estimators pick the smallest draws per trial; contribution
-estimators rank by the reference portfolio's draws and read off the trade's
-values. Final reductions use exactly rounded summation, so results are
-invariant under trial reordering.
+order-statistics estimators pick the beta smallest draws per trial (alpha V@R
+is the beta = 1 member); contribution estimators rank by the reference
+portfolio's draws and read off the trade's values. Every estimator ends in
+``selected_mean``, whose final reduction uses exactly rounded summation, so
+results are invariant under trial reordering.
 """
 
 from __future__ import annotations
@@ -15,12 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .contribution import _aligned
+from .contribution import _aligned, extreme_measure
 from .distortion import WeightingMeasure
-from .scenario import _exact_dot, _rank_blocks
+from .scenario import _exact_dot
 
-__all__ = ["MCEstimate", "alpha_var_mc", "beta_var_mc", "alpha_contribution_mc",
-           "beta_contribution_mc", "weighted_contribution_empirical"]
+__all__ = ["MCEstimate", "selected_mean", "alpha_var_mc", "beta_var_mc",
+           "alpha_contribution_mc", "beta_contribution_mc",
+           "weighted_contribution_empirical"]
 
 
 @dataclass(frozen=True)
@@ -30,9 +32,6 @@ class MCEstimate:
     value: float
     std_error: float
     trials: int
-
-    def __iter__(self):
-        return iter((self.value, self.std_error))
 
 
 def _as_matrix(x) -> np.ndarray:
@@ -53,63 +52,54 @@ def _reduce(per_trial: np.ndarray) -> MCEstimate:
     return MCEstimate(value=-mean, std_error=se, trials=k)
 
 
-def alpha_var_mc(x) -> MCEstimate:
-    """Minus the average of per-trial minima."""
-    x = _as_matrix(x)
-    cols = _kernels.row_argmin(x)
-    return _reduce(x[np.arange(x.shape[0]), cols])
+def selected_mean(x, cols) -> MCEstimate:
+    """Minus the trial mean of x averaged over the picked columns.
+
+    cols is (K,) with one column per trial or (K, beta); the picks are summed
+    in cols order, so the same columns give the same bits on every path.
+    """
+    cols = np.asarray(cols)
+    if cols.ndim == 1:
+        cols = cols[:, None]
+    return _reduce(_kernels.row_smallest_sums(x, cols) / cols.shape[1])
+
+
+def _checked(x, w, beta: int):
+    x, w = _as_matrix(x), _as_matrix(w)
+    if x.shape != w.shape:
+        raise ValueError(f"x and w shapes differ: {x.shape} vs {w.shape}")
+    if not 1 <= beta <= x.shape[1]:
+        raise ValueError(f"beta must lie in [1, {x.shape[1]}], got {beta}")
+    return x, w
 
 
 def beta_var_mc(x, beta: int) -> MCEstimate:
     """Minus the average of the beta smallest draws per trial."""
-    x = _as_matrix(x)
-    if not 1 <= beta <= x.shape[1]:
-        raise ValueError(f"beta must lie in [1, {x.shape[1]}], got {beta}")
-    cols = _kernels.rank_columns(x, beta)
-    sums = _kernels.row_smallest_sums(x, cols)
-    return _reduce(sums / beta)
+    x, _ = _checked(x, x, beta)
+    return selected_mean(x, _kernels.rank_columns(x, beta))
 
 
-def _check_pair(x, w):
-    x = _as_matrix(x)
-    w = _as_matrix(w)
-    if x.shape != w.shape:
-        raise ValueError(f"x and w shapes differ: {x.shape} vs {w.shape}")
-    return x, w
-
-
-def alpha_contribution_mc(x, w) -> MCEstimate:
-    """Contribution estimate: x read at the per-trial argmin of w."""
-    x, w = _check_pair(x, w)
-    cols = _kernels.row_argmin(w)
-    return _reduce(x[np.arange(x.shape[0]), cols])
+def alpha_var_mc(x) -> MCEstimate:
+    """Minus the average of per-trial minima: beta_var_mc with beta = 1."""
+    return beta_var_mc(x, 1)
 
 
 def beta_contribution_mc(x, w, beta: int) -> MCEstimate:
     """Contribution estimate: x averaged over the beta w-smallest columns."""
-    x, w = _check_pair(x, w)
-    if not 1 <= beta <= x.shape[1]:
-        raise ValueError(f"beta must lie in [1, {x.shape[1]}], got {beta}")
-    cols = _kernels.rank_columns(w, beta)
-    sums = _kernels.row_smallest_sums(x, cols)
-    return _reduce(sums / beta)
+    x, w = _checked(x, w, beta)
+    return selected_mean(x, _kernels.rank_columns(w, beta))
+
+
+def alpha_contribution_mc(x, w) -> MCEstimate:
+    """Contribution estimate: x read at the per-trial argmin of w
+    (beta_contribution_mc with beta = 1)."""
+    return beta_contribution_mc(x, w, 1)
 
 
 def weighted_contribution_empirical(x, w, probs, measure: WeightingMeasure) -> float:
-    """Exact spectral contribution of x to w on a weighted sample.
-
-    Ranks scenarios by w, maps cumulative weights through the distortion and
-    averages x under the resulting worst-case weights. Tied w values are
-    merged first (x averaged with probability weights), which makes the
-    estimate well defined. A tied block's x-mass is summed in input order, so
-    reordering the scenarios within a tie can move the estimate by rounding
-    (in the last bits), and by nothing more.
-    """
+    """Exact spectral contribution of x to w on a weighted sample: minus the
+    expectation of x under the worst-case weights of w (``extreme_measure``),
+    summed exactly as in ``capital_allocation``. Reordering the scenarios
+    jointly leaves the result unchanged to the last bit."""
     x, w, probs = _aligned(x, w, probs)
-    order, block, bp, cum = _rank_blocks(w, probs)
-    # tied w: x averaged with probability weights over the block
-    bxp = np.bincount(block, weights=probs[order] * x[order])
-    with np.errstate(invalid="ignore", divide="ignore"):
-        bx = np.where(bp > 0.0, bxp / bp, 0.0)
-    weights = np.diff(measure.distortion(cum), prepend=0.0)
-    return -_exact_dot(bx, weights)
+    return -_exact_dot(extreme_measure(w, probs, measure).weights, x)

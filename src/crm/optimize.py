@@ -153,8 +153,7 @@ def _ray_cuts(problem: OptimizationProblem, a: np.ndarray) -> list:
 
 
 def solve_portfolio(problem: OptimizationProblem, tol: float = 1e-4,
-                    max_iter: int = 600, restarts: int = 10,
-                    seed: int = 0) -> PortfolioSolution:
+                    max_iter: int = 600) -> PortfolioSolution:
     """Maximize reward subject to all risk limits (and the box, if any).
 
     Each round solves the LP max e.h over the cuts found so far (HiGHS) and
@@ -162,8 +161,7 @@ def solve_portfolio(problem: OptimizationProblem, tol: float = 1e-4,
     the optimum from above, the LP point scaled back inside the limits from
     below; converged means the two met within tol relative to the upper
     bound before max_iter rounds. A relaxation without a finite optimum is
-    cut along a ray instead. `restarts` and `seed` do nothing; they stay for
-    compatibility.
+    cut along a ray instead.
     """
     from scipy.optimize import linprog
 

@@ -28,8 +28,9 @@ import numpy as np
 
 from . import _kernels
 
-__all__ = ["DrawScheme", "DrawMatrix", "parse_scheme", "generate_draws",
-           "materialize", "time_change_series", "scale_series", "ewma_volatility"]
+__all__ = ["DrawScheme", "DrawMatrix", "parse_scheme", "effective_series",
+           "generate_draws", "materialize", "time_change_series", "scale_series",
+           "ewma_volatility"]
 
 
 @dataclass(frozen=True)
@@ -112,14 +113,6 @@ class DrawMatrix:
     scheme: DrawScheme
     series_len: int
 
-    @property
-    def trials(self) -> int:
-        return self.indices.shape[0]
-
-    @property
-    def draws_per_trial(self) -> int:
-        return self.indices.shape[1]
-
 
 def _geometric_cdf(decay: float, n: int) -> np.ndarray:
     # truncated geometric over ages 1..n, renormalized
@@ -127,13 +120,34 @@ def _geometric_cdf(decay: float, n: int) -> np.ndarray:
     return (1.0 - decay ** t) / (1.0 - decay ** n)
 
 
+def effective_series(series: np.ndarray, scheme: DrawScheme, standardize: bool = False):
+    """(eff, probs): the series the scheme samples (the recent window, the
+    time-changed or rescaled series, else the series itself) and its exact
+    evaluation weights (geometric only; None means equal). Draw any scheme
+    over it with ``generate_draws(scheme, eff.size, ...)``."""
+    if scheme.kind == "uniform":
+        return series[:min(scheme.window, series.size)], None
+    if scheme.kind == "geometric":
+        t = np.arange(1, series.size + 1, dtype=float)
+        pmf = (1.0 - scheme.decay) * scheme.decay ** (t - 1.0)
+        return series, pmf / pmf.sum()
+    if scheme.kind == "timechange":
+        return time_change_series(series, scheme.sigma, scheme.subintervals,
+                                  standardize=standardize), None
+    if scheme.kind == "scaling":
+        return (scale_series(series, scheme.sigma) if standardize
+                else scheme.sigma * series), None
+    return series, None
+
+
 def generate_draws(scheme: DrawScheme, series_len: int, trials: int,
                    draws_per_trial: int, seed: int) -> DrawMatrix:
     """Deterministic draw-index matrix for the scheme over a series.
 
-    `series_len` is the length of the series actually sampled (for timechange
-    and scaling: the transformed series). Cell (k, l) consumes the substream
-    slot k*alpha + l, so any sub-block is reproducible in isolation.
+    `series_len` is the length of the series actually sampled, the
+    ``effective_series`` of the scheme: uniform clips its window to it, and
+    timechange and scaling draw uniformly over it. Cell (k, l) consumes the
+    substream slot k*alpha + l, so any sub-block is reproducible in isolation.
     """
     if series_len < 1:
         raise ValueError("series_len must be >= 1")

@@ -255,7 +255,7 @@ def test_criterion_09_optimizer():
     prob = O.OptimizationProblem(
         rewards=np.array([1.0, 1.0]),
         limits=[O.RiskLimit(D.tail(0.5), 1.0, panel, "t50")])
-    sol = O.solve_portfolio(prob, restarts=3, max_iter=400, seed=9)
+    sol = O.solve_portfolio(prob, max_iter=400)
     want_h = np.array([1.0, 1.0]) / (math.sqrt(2.0) * gm)
     want_obj = math.sqrt(2.0) / gm
     cos = float(sol.h @ want_h / (np.linalg.norm(sol.h) * np.linalg.norm(want_h)))
@@ -274,7 +274,7 @@ def test_criterion_09_optimizer():
     prob2 = O.OptimizationProblem(
         rewards=np.array([1.0, 1.0]),
         limits=[O.RiskLimit(D.tail(0.5), 1.0, small, "t50")])
-    sol2 = O.solve_portfolio(prob2, restarts=3, max_iter=400, seed=10)
+    sol2 = O.solve_portfolio(prob2, max_iter=400)
     cum = np.arange(1, 2001) / 2000.0
     weights = np.diff(np.minimum(cum / 0.5, 1.0), prepend=0.0)
     axis = np.linspace(-0.2, 1.6, 201)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import re
 import sys
 
@@ -11,6 +12,7 @@ import pytest
 from crm import cli
 from crm import distortion as D
 from crm import factor as F
+from crm import sampling
 from crm import scenario as S
 from crm.errors import DataError
 from crm.panel import ingest_panel
@@ -331,6 +333,108 @@ class TestTrialCount:
         assert announced["trials"] == inprocess["trials"] == 2
         assert announced["contribution"] == inprocess["contribution"]
         assert announced["std_error"] == inprocess["std_error"]
+
+
+def order_statistics_reference(values, b):
+    """Minus the trial mean of each row's b smallest values (lowest column
+    first on ties), each summed left to right."""
+    per_trial = []
+    for row in values.tolist():
+        picks = sorted(range(len(row)), key=lambda j: (row[j], j))[:b]
+        total = row[picks[0]]
+        for j in picks[1:]:
+            total += row[j]
+        per_trial.append(total / b)
+    return -math.fsum(per_trial) / len(per_trial)
+
+
+class TestOneMonteCarloPath:
+    @pytest.mark.parametrize("measure, a, b", [
+        ("alpha:8.0", 8, 1), ("beta: 6, 2", 6, 2), ("beta:4,4", 4, 4), ("alpha:1", 1, 1)])
+    def test_order_statistics_measures_keep_monte_carlo(self, panel_csv, measure, a, b,
+                                                        capsys):
+        code, rep = run(capsys, ["estimate", "--input", panel_csv, "--measure", measure,
+                                 "--scheme", "uniform:200", "--trials", 300, "--seed", 5])
+        assert code == 0 and rep["method"] == "monte-carlo"
+        series = ingest_panel(panel_csv).series()[:200]
+        draws = sampling.generate_draws(sampling.parse_scheme("uniform:200"), 200, 300, a, 5)
+        assert rep["estimate"] == order_statistics_reference(series[draws.indices], b)
+
+    def test_fractional_alpha_weights_the_pooled_draws(self, panel_csv, capsys):
+        code, rep = run(capsys, ["estimate", "--input", panel_csv, "--measure", "alpha:2.5",
+                                 "--scheme", "uniform:200", "--trials", 300, "--seed", 5])
+        assert code == 0 and rep["method"] == "monte-carlo-weighted"
+        assert "std_error" not in rep
+
+    def test_announce_needs_integer_orders(self, panel_csv, tmp_path, capsys):
+        out = tmp_path / "a.json"
+        code = cli.run_command(["announce", "--input", str(panel_csv), "--measure",
+                                "tail:0.05", "--trials", "50", "--seed", "1",
+                                "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "" and not out.exists()
+        assert "announce needs an integer-order measure" in captured.err
+
+
+class TestAnnounceFileChecks:
+    """An announce file is checked key by key before any value is read."""
+
+    @pytest.fixture()
+    def announced(self, tmp_path, capsys):
+        rng = np.random.default_rng(4)
+        firm, trade = tmp_path / "firm.csv", tmp_path / "trade.csv"
+        write_panel(firm, ["A"], rng.normal(size=(28, 1)).round(6).tolist())
+        write_panel(trade, ["X"], rng.normal(size=(28, 1)).round(6).tolist())
+        ann = tmp_path / "ann.json"
+        code, _ = run(capsys, ["announce", "--input", firm, "--measure", "beta:6,2",
+                               "--trials", 40, "--seed", 3, "--out", ann])
+        assert code == 0
+        return trade, ann
+
+    def contrib(self, capsys, trade, ann, edit):
+        payload = json.loads(ann.read_text())
+        edit(payload)
+        ann.write_text(json.dumps(payload))
+        code = cli.run_command(["contrib", "--input", str(trade), "--announced", str(ann),
+                                "--seed", "3"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        return captured.err
+
+    @pytest.mark.parametrize("value", [-1, 999])
+    def test_index_outside_the_series(self, announced, capsys, value):
+        def edit(p):
+            p["indices"][5][2] = value
+        err = self.contrib(capsys, *announced, edit)
+        assert "ann.json: key 'indices' must be integers in [0, 28) of shape (40, 6)" in err
+
+    def test_selected_column_outside_the_trial(self, announced, capsys):
+        def edit(p):
+            p["selected"][0][1] = 7
+        err = self.contrib(capsys, *announced, edit)
+        assert "ann.json: key 'selected' must be integers in [0, 6) of shape (40, 2)" in err
+
+    def test_short_selected(self, announced, capsys):
+        def edit(p):
+            p["selected"] = p["selected"][:-1]
+        err = self.contrib(capsys, *announced, edit)
+        assert "ann.json: key 'selected' must be integers" in err
+
+    def test_missing_series_len(self, announced, capsys):
+        err = self.contrib(capsys, *announced, lambda p: p.pop("series_len"))
+        assert "ann.json: missing key 'series_len'" in err
+
+    @pytest.mark.parametrize("key, value", [("order_beta", 7), ("order_beta", 2.0),
+                                            ("trials", "40"), ("draws_per_trial", True)])
+    def test_bad_counts_name_the_key(self, announced, capsys, key, value):
+        err = self.contrib(capsys, *announced, lambda p: p.update({key: value}))
+        assert f"ann.json: key {key!r} must be an integer" in err
+
+    def test_unchanged_file_still_prices(self, announced, capsys):
+        trade, ann = announced
+        code, rep = run(capsys, ["contrib", "--input", trade, "--announced", ann,
+                                 "--seed", 3])
+        assert code == 0 and rep["trials"] == 40
 
 
 class TestAllocate:
@@ -1018,6 +1122,22 @@ class TestDeterminismAndExitCodes:
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             cli.run_command(["estimate", "--measure", "tail:0.5"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["factor", "--input", "p.csv", "--factors", "f.csv", "--measure", "tail:0.5",
+         "--standardize"],
+        ["optimize", "--panel", "p.csv", "--rewards", "r.csv", "--limits", "l.json",
+         "--seed", "1", "--standardize"],
+        ["allocate", "--input", "p.csv", "--measure", "tail:0.5", "--standardize"],
+        ["kappa", "--input", "p.csv", "--firm", "f.csv", "--measure", "tail:0.5",
+         "--standardize"],
+        ["equilibrium", "--firm", "firm.json", "--seed", "1", "--standardize"],
+        ["equilibrium", "--firm", "firm.json", "--seed", "1", "--returns"],
+    ])
+    def test_flags_a_command_never_reads_are_usage_errors(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.run_command(argv)
         assert exc.value.code == 2
 
     def test_unknown_subcommand_exits_two(self):

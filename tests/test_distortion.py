@@ -219,6 +219,13 @@ class TestConstructionAndParsing:
         d = S.ScenarioDistribution([-2.0, 1.0, 7.0])
         assert S.weighted_var(d, m) == pytest.approx(-2.0)
 
+    @pytest.mark.parametrize("text, orders", [
+        ("alpha:8.0", (8, 1)), ("beta: 6, 2", (6, 2)), ("beta:4,4", (4, 4)),
+        ("alpha:1", (1, 1)), ("alpha:2.5", None), ("beta:6,2.5", None), ("beta:6,0", None),
+        ("beta:3,0.5", None), ("tail:0.05", None), ("mix:0.5@0.25,0.5@1.0", None)])
+    def test_orders_of_order_statistics_measures(self, text, orders):
+        assert D.parse_measure(text).orders == orders
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             D.tail(0.0)

@@ -111,6 +111,17 @@ def test_extreme_measure_is_bitwise_permutation_equivariant(sample, measure):
     assert base.utility == moved.utility
 
 
+@given(samples(columns=2), st.sampled_from(MEASURES))
+@settings(max_examples=300, deadline=None)
+def test_weighted_contribution_is_bitwise_permutation_invariant(sample, measure):
+    (x, w), probs, perm = sample
+    base = M.weighted_contribution_empirical(x, w, probs, measure)
+    moved = M.weighted_contribution_empirical(x[perm], w[perm],
+                                              None if probs is None else probs[perm],
+                                              measure)
+    assert base.hex() == moved.hex()
+
+
 @given(st.integers(2, 4).flatmap(
            lambda k: samples(columns=k, elements=st.sampled_from(TIE_POOL))),
        st.sampled_from(MEASURES))

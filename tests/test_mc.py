@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crm import distortion as D
 from crm import mc
@@ -98,6 +100,43 @@ class TestContributions:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             mc.alpha_contribution_mc(np.ones((2, 3)), np.ones((2, 4)))
+
+
+def bits(est):
+    return (est.value.hex(), est.std_error.hex(), est.trials)
+
+
+# few distinct cell values, so rows hold ties
+cells = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0]) | st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@st.composite
+def tied_pairs(draw):
+    k, a = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    x, w = (np.array(draw(st.lists(cells, min_size=k * a, max_size=k * a))).reshape(k, a)
+            for _ in range(2))
+    return x, w
+
+
+class TestOneOrderStatisticPath:
+    @settings(max_examples=300, deadline=None)
+    @given(tied_pairs())
+    def test_alpha_contribution_is_beta_one_bit_for_bit(self, pair):
+        x, w = pair
+        alpha = mc.alpha_contribution_mc(x, w)
+        assert bits(alpha) == bits(mc.beta_contribution_mc(x, w, 1))
+        # x read at the first column holding the row minimum of w
+        picks = [row_x[min(range(w.shape[1]), key=lambda j: (row_w[j], j))]
+                 for row_x, row_w in zip(x.tolist(), w.tolist())]
+        assert alpha.value == -math.fsum(picks) / len(picks)
+
+    def test_selected_mean_reads_vector_and_matrix_picks_alike(self):
+        x = np.array([[4.0, -1.0, 2.0], [0.5, 3.0, -2.0]])
+        assert bits(mc.selected_mean(x, np.array([1, 2]))) == \
+            bits(mc.selected_mean(x, np.array([[1], [2]])))
+        est = mc.selected_mean(x, np.array([[2, 0], [1, 0]]))
+        assert est.value == -((2.0 + 4.0) / 2 + (3.0 + 0.5) / 2) / 2
+        assert est.trials == 2
 
 
 class TestConsistencyWithExactEvaluators:

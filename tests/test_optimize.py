@@ -64,7 +64,7 @@ class TestSolver:
 
     def test_gaussian_fixture_matches_closed_form(self):
         prob = self.gaussian_problem()
-        sol = O.solve_portfolio(prob, restarts=3, max_iter=400, seed=1)
+        sol = O.solve_portfolio(prob, max_iter=400)
         gm = D.gaussian_multiplier(D.tail(0.5))
         want_obj = math.sqrt(2.0) / gm
         want_h = np.array([1.0, 1.0]) / (math.sqrt(2.0) * gm)
@@ -75,7 +75,7 @@ class TestSolver:
 
     def test_feasibility_and_binding(self):
         prob = self.gaussian_problem(t=5000, seed=3)
-        sol = O.solve_portfolio(prob, restarts=2, max_iter=200, seed=2)
+        sol = O.solve_portfolio(prob, max_iter=200)
         assert np.all(sol.risks <= 1.0 + 1e-12)
         assert sol.risks.max() == pytest.approx(1.0, abs=1e-9)
 
@@ -86,8 +86,8 @@ class TestSolver:
         p1 = O.OptimizationProblem(np.array([1.0, 0.5]), [lim])
         p2 = O.OptimizationProblem(np.array([1.0, 0.5]),
                                    [lim, O.RiskLimit(D.tail(0.5), 1.0, panel, "b")])
-        s1 = O.solve_portfolio(p1, restarts=2, max_iter=200, seed=5)
-        s2 = O.solve_portfolio(p2, restarts=2, max_iter=200, seed=5)
+        s1 = O.solve_portfolio(p1, max_iter=200)
+        s2 = O.solve_portfolio(p2, max_iter=200)
         assert np.allclose(s1.h, s2.h, atol=1e-12)
         assert s1.objective == pytest.approx(s2.objective, abs=1e-12)
 
@@ -96,9 +96,9 @@ class TestSolver:
         panel = rng.standard_normal((4000, 2))
         lims = [O.RiskLimit(D.tail(0.5), 1.0, panel, "")]
         s1 = O.solve_portfolio(O.OptimizationProblem(np.array([1.0, 0.3]), lims),
-                               restarts=2, max_iter=300, seed=7)
+                               max_iter=300)
         s3 = O.solve_portfolio(O.OptimizationProblem(np.array([3.0, 0.9]), lims),
-                               restarts=2, max_iter=300, seed=7)
+                               max_iter=300)
         assert np.allclose(s3.h, s1.h, rtol=2e-2, atol=1e-4)
         assert s3.objective == pytest.approx(3.0 * s1.objective, rel=2e-2)
 
@@ -111,7 +111,7 @@ class TestSolver:
         rho = S.weighted_var(S.ScenarioDistribution(vals), D.tail(0.4))
         prob = O.OptimizationProblem(np.array([1.0]),
                                      [O.RiskLimit(D.tail(0.4), 2.0, panel, "")])
-        sol = O.solve_portfolio(prob, restarts=2, max_iter=200, seed=9)
+        sol = O.solve_portfolio(prob, max_iter=200)
         assert sol.h[0] == pytest.approx(2.0 / rho, rel=1e-6)
         assert sol.objective == pytest.approx(2.0 / rho, rel=1e-6)
 
@@ -121,7 +121,7 @@ class TestSolver:
         prob = O.OptimizationProblem(np.array([1.0]),
                                      [O.RiskLimit(D.tail(0.5), 1.0, panel, "")])
         with pytest.raises(UnboundedError):
-            O.solve_portfolio(prob, restarts=1, max_iter=50, seed=0)
+            O.solve_portfolio(prob, max_iter=50)
 
     def test_riskless_asset_held_to_its_box(self):
         # nonpositive risk along +e_1 is no violation when the box closes it
@@ -160,7 +160,7 @@ class TestSolver:
         lim_plain = O.RiskLimit(D.tail(0.5), 1.0, panel, "plain")
         lim_factor = O.RiskLimit(D.tail(0.5), 1.0, cond_panel, "factor")
         prob = O.OptimizationProblem(np.array([1.0, 1.0]), [lim_plain, lim_factor])
-        sol = O.solve_portfolio(prob, restarts=2, max_iter=300, seed=12)
+        sol = O.solve_portfolio(prob, max_iter=300)
         assert np.all(sol.risks <= 1.0 + 1e-9)
 
 
@@ -227,5 +227,5 @@ class TestGeometricSolution:
         prob = O.OptimizationProblem(
             rewards=np.array([1.0, 1.0]),
             limits=[O.RiskLimit(m, 1.0, panel, "")], probs=probs)
-        sol = O.solve_portfolio(prob, restarts=2, max_iter=400, seed=3)
+        sol = O.solve_portfolio(prob, max_iter=400)
         assert sol.objective == pytest.approx(sol_geo.value, rel=0.02)

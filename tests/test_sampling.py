@@ -21,6 +21,43 @@ class TestParse:
                 sp.parse_scheme(text)
 
 
+class TestEffectiveSeries:
+    SERIES = np.linspace(-1.0, 2.0, 40)
+
+    def test_uniform_keeps_the_recent_window(self):
+        eff, probs = sp.effective_series(self.SERIES, sp.parse_scheme("uniform:10"))
+        assert eff.tolist() == self.SERIES[:10].tolist() and probs is None
+
+    def test_geometric_weights_recent_periods_more(self):
+        eff, probs = sp.effective_series(self.SERIES, sp.parse_scheme("geometric:0.9"))
+        assert eff is self.SERIES
+        assert probs.sum() == pytest.approx(1.0) and np.all(np.diff(probs) < 0.0)
+        assert probs[1] / probs[0] == pytest.approx(0.9)
+
+    def test_transforms_match_the_series_functions(self):
+        x = self.SERIES
+        for text, standardize, want in [
+                ("timechange:1.4,2", False, sp.time_change_series(x, 1.4, 2)),
+                ("timechange:1.4,2", True, sp.time_change_series(x, 1.4, 2,
+                                                                  standardize=True)),
+                ("scaling:2.0", False, 2.0 * x),
+                ("scaling:2.0", True, sp.scale_series(x, 2.0))]:
+            eff, probs = sp.effective_series(x, sp.parse_scheme(text), standardize)
+            assert eff.tolist() == want.tolist() and probs is None
+
+    def test_bootstrap_samples_the_series_itself(self):
+        eff, probs = sp.effective_series(self.SERIES, sp.parse_scheme("bootstrap:3"))
+        assert eff is self.SERIES and probs is None
+
+    def test_parsed_transform_schemes_draw_uniformly_over_the_series(self):
+        eff, _ = sp.effective_series(self.SERIES, sp.parse_scheme("timechange:1.4,2"))
+        for text in ("timechange:1.4,2", "scaling:2.0"):
+            d = sp.generate_draws(sp.parse_scheme(text), eff.size, 30, 5, seed=4)
+            uni = sp.generate_draws(sp.parse_scheme(f"uniform:{eff.size}"), eff.size,
+                                    30, 5, seed=4)
+            assert np.array_equal(d.indices, uni.indices)
+
+
 class TestGenerateDraws:
     def test_bit_identical_regeneration(self):
         s = sp.parse_scheme("geometric:0.95")
