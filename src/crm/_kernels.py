@@ -61,9 +61,45 @@ def uniform_indices(u: np.ndarray, n: int) -> np.ndarray:
     return idx
 
 
+_CHUNK = 1 << 16  # draws per guide-table pass: bounds the temporaries
+_STEPS = 3  # guide steps before the draws left over take a binary search
+
+
 def cdf_indices(u: np.ndarray, cdf: np.ndarray) -> np.ndarray:
-    """First t with cdf[t] > u, per entry of u."""
-    return np.searchsorted(cdf, u, side="right").astype(np.int64)
+    """First t with cdf[t] > u, per entry of u (len(cdf) when there is none),
+    for a non-empty, non-decreasing cdf and u without NaN.
+
+    Inverse-cdf lookup through a guide table (Chen & Asau 1974, "On
+    generating random variates from an empirical distribution"): with
+    n = len(cdf), a draw falls in bucket j = floor(u*n) and starts at
+    guide[j], the answer for (j-1)/n, then steps up while cdf[t] <= u. u*n
+    rounds to j or more only when u lies well above (j-1)/n, so guide[j] is a
+    lower bound however u*n and j/n round, and the exact comparisons give bit
+    for bit the answer of a binary search. Most draws settle within a step or
+    two; the few in stretches where the cdf rises slowly (many entries per
+    bucket, as in a long geometric tail) still unsettled after _STEPS steps
+    take a binary search, which bounds the work by the binary search's.
+    """
+    n = cdf.size
+    out = np.empty(u.shape, dtype=np.int64)
+    guide = np.zeros(n, dtype=np.int64)
+    guide[1:] = np.searchsorted(cdf, np.arange(n - 1) / n, side="right")
+    # a NaN past the end stops every step at n, the answer past the table
+    table = np.append(cdf, np.nan)
+    flat_u, flat_out = u.reshape(-1), out.reshape(-1)
+    for start in range(0, flat_u.size, _CHUNK):
+        uc = flat_u[start:start + _CHUNK]
+        idx = guide[np.clip(uc * n, 0, n - 1).astype(np.int64)]
+        for _ in range(_STEPS):
+            step = table[idx] <= uc
+            if not step.any():
+                break
+            idx += step
+        else:
+            late = np.flatnonzero(table[idx] <= uc)
+            idx[late] = np.searchsorted(cdf, uc[late], side="right")
+        flat_out[start:start + _CHUNK] = idx
+    return out
 
 
 # ---------------------------------------------------------------------------

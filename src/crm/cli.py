@@ -55,9 +55,57 @@ def _plain(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
+# Scalars keep json's text: string escapes, float repr and the allow_nan error.
+# indent=2 keeps them on json's pure-Python encoder, whose error names the
+# value (the C encoder's does not on Python 3.11); a scalar is the same text
+# at any indent.
+_scalar = json.JSONEncoder(indent=2, allow_nan=False, default=_plain).encode
+
+
 def _emit(report: dict, stream=None) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False, default=_plain)
-    (stream or sys.stdout).write(text + "\n")
+    """Write report as json.dumps(report, sort_keys=True, indent=2,
+    allow_nan=False, default=_plain) does, plus a newline.
+
+    On Python 3.11 json.dumps(indent=...) always takes the pure-Python
+    encoder, a few generator steps per value: 0.4 s for the announce payload's
+    half million indices. So the layout is written here, scalars go through
+    json, and an integer array is joined a row at a time."""
+    out = []
+    _layout(report, "", out)
+    out.append("\n")
+    (stream or sys.stdout).write("".join(out))
+
+
+def _layout(obj, pad: str, out: list, int_dims: int = 0) -> None:
+    """Append obj's text at indent `pad` to out. int_dims > 0 marks obj as
+    nested lists of integers that many levels deep (an integer array's
+    tolist()), whose innermost lists are joined without json."""
+    if isinstance(obj, np.ndarray):
+        if obj.ndim and obj.dtype.kind in "iu":
+            _layout(obj.tolist(), pad, out, obj.ndim)
+            return
+        obj = obj.tolist()
+    inner = pad + "  "
+    if int_dims == 1 and obj:
+        out.append(f"[\n{inner}" + f",\n{inner}".join(map(str, obj)) + f"\n{pad}]")
+    elif isinstance(obj, dict) and obj:
+        sep = "{\n"
+        for key in sorted(obj):
+            # json writes a non-string key (number, bool, null) as its text, quoted
+            name = _scalar(key if isinstance(key, str) else _scalar(key))
+            out.append(f"{sep}{inner}{name}: ")
+            _layout(obj[key], inner, out)
+            sep = ",\n"
+        out.append(f"\n{pad}}}")
+    elif isinstance(obj, (list, tuple)) and obj:
+        sep = "[\n"
+        for item in obj:
+            out.append(sep + inner)
+            _layout(item, inner, out, max(int_dims - 1, 0))
+            sep = ",\n"
+        out.append(f"\n{pad}]")
+    else:
+        out.append(_scalar(obj))  # a scalar, or an empty {} or []
 
 
 def _check_trials(trials: int) -> None:
@@ -300,6 +348,13 @@ def _contrib_announced(args) -> dict:
     panel = ingest_panel(args.input, returns=args.returns)
     if panel.probs is not None:
         raise DataError(_NO_TRIAL_PROBS)
+    # announced indices are positions in a most-recent-first series, so the
+    # trade must start on the firm's most recent date and reach its oldest one
+    first, last = _require(ann, "first_date", path), _require(ann, "last_date", path)
+    if panel.dates[0] != first or last not in panel.dates:
+        raise DataError(
+            f"{args.input} runs from {panel.dates[0]!r} back to {panel.dates[-1]!r}, but "
+            f"{path} announces draws on the dates from {first!r} back to {last!r}")
     series = panel.series(_columns_arg(args.columns))
     scheme_text = _require(ann, "scheme", path)
     scheme = _spec("scheme", scheme_text, f"{path}: key 'scheme'")

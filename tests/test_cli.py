@@ -261,6 +261,33 @@ class TestAnnounceContrib:
         assert rep_a["contribution"] == rep_b["contribution"]
         assert rep_a["std_error"] == rep_b["std_error"]
 
+    @pytest.mark.parametrize("start, end, skip, code", [
+        ("2026-06-01", "2026-07-30", None, 1),          # other dates, same length
+        ("2025-01-01", "2025-03-02", None, 1),          # one day more recent
+        ("2024-12-01", "2025-03-01", "2025-01-01", 1),  # lacks the firm's oldest day
+        ("2024-12-01", "2025-03-01", None, 0),          # a longer history is fine
+    ])
+    def test_trade_dates_must_match_the_announce(self, tmp_path, capsys, start, end, skip,
+                                                 code):
+        def days(a, b, skip=None):
+            return [str(d) for d in np.arange(np.datetime64(a), np.datetime64(b) + 1)
+                    if str(d) != skip]
+
+        rng = np.random.default_rng(6)
+        firm, trade, ann = tmp_path / "firm.csv", tmp_path / "trade.csv", tmp_path / "a.json"
+        dates = days("2025-01-01", "2025-03-01")
+        write_panel(firm, ["A"], rng.normal(size=(len(dates), 1)).tolist(), dates)
+        dates = days(start, end, skip)
+        write_panel(trade, ["X"], rng.normal(size=(len(dates), 1)).tolist(), dates)
+        assert run(capsys, ["announce", "--input", firm, "--measure", "beta:6,2",
+                            "--trials", 50, "--seed", 2, "--out", ann])[0] == 0
+        assert cli.run_command(["contrib", "--input", str(trade), "--announced", str(ann),
+                                "--seed", "2"]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert (f"{trade} runs from '{end}' back to '{start}', but {ann} announces "
+                    "draws on the dates from '2025-03-01' back to '2025-01-01'") in err
+
     def test_exact_contribution(self, panel_csv, trade_csv, capsys):
         code, rep = run(capsys, ["contrib", "--input", trade_csv, "--firm",
                                  panel_csv, "--measure", "tail:0.25", "--seed", 1])
@@ -1071,46 +1098,52 @@ class TestStrictEmit:
         assert captured.err.startswith("crm: error: ")
 
 
+@pytest.fixture()
+def every_subcommand(tmp_path, panel_csv, trade_csv):
+    """One argv per subcommand (contrib twice) and the announce file it writes."""
+    rng = np.random.default_rng(8)
+    fpath = tmp_path / "f.csv"
+    write_panel(fpath, ["F1"], rng.normal(size=(300, 1)).round(6).tolist())
+    ppath = tmp_path / "op.csv"
+    write_panel(ppath, ["A", "B"], rng.standard_normal((800, 2)).round(6).tolist())
+    rpath = tmp_path / "rw.csv"
+    rpath.write_text("asset,reward\nA,1.0\nB,0.5\n")
+    lpath = tmp_path / "lim.json"
+    lpath.write_text(json.dumps([{"measure": "tail:0.5", "limit": 1.0}]))
+    firm = {"desks": [
+                {"name": "d1", "panel": "op.csv", "columns": ["A"], "rewards": [1.0]},
+                {"name": "d2", "panel": "op.csv", "columns": ["B"], "rewards": [1.0]}],
+            "limits": [{"measure": "tail:0.5", "limit": 1.0}]}
+    fjson = tmp_path / "firm.json"
+    fjson.write_text(json.dumps(firm))
+    ann = tmp_path / "ann.json"
+    commands = [
+        ["estimate", "--input", panel_csv, "--measure", "tail:0.1",
+         "--scheme", "uniform:300", "--seed", 7],
+        ["estimate", "--input", panel_csv, "--measure", "beta:6,2",
+         "--scheme", "geometric:0.98", "--trials", 800, "--seed", 7],
+        ["announce", "--input", panel_csv, "--measure", "alpha:6",
+         "--scheme", "uniform:300", "--trials", 300, "--seed", 5,
+         "--out", ann],
+        ["contrib", "--input", trade_csv, "--announced", ann, "--seed", 5],
+        ["contrib", "--input", trade_csv, "--firm", panel_csv, "--measure",
+         "tail:0.25", "--seed", 5],
+        ["factor", "--input", panel_csv, "--factors", fpath, "--measure",
+         "tail:0.25", "--regression", "knn:20"],
+        ["allocate", "--input", panel_csv, "--measure", "tail:0.3"],
+        ["kappa", "--input", trade_csv, "--firm", panel_csv,
+         "--measure", "tail:0.5"],
+        ["optimize", "--panel", ppath, "--rewards", rpath, "--limits", lpath,
+         "--restarts", 2, "--max-iter", 100, "--seed", 4],
+        ["equilibrium", "--firm", fjson, "--restarts", 2, "--max-iter", 100,
+         "--seed", 4],
+    ]
+    return commands, ann
+
+
 class TestDeterminismAndExitCodes:
-    def test_byte_identical_reruns_all_subcommands(self, tmp_path, panel_csv,
-                                                   trade_csv, capsys):
-        rng = np.random.default_rng(8)
-        fpath = tmp_path / "f.csv"
-        write_panel(fpath, ["F1"], rng.normal(size=(300, 1)).round(6).tolist())
-        ppath = tmp_path / "op.csv"
-        write_panel(ppath, ["A", "B"], rng.standard_normal((800, 2)).round(6).tolist())
-        rpath = tmp_path / "rw.csv"
-        rpath.write_text("asset,reward\nA,1.0\nB,0.5\n")
-        lpath = tmp_path / "lim.json"
-        lpath.write_text(json.dumps([{"measure": "tail:0.5", "limit": 1.0}]))
-        firm = {"desks": [
-                    {"name": "d1", "panel": "op.csv", "columns": ["A"], "rewards": [1.0]},
-                    {"name": "d2", "panel": "op.csv", "columns": ["B"], "rewards": [1.0]}],
-                "limits": [{"measure": "tail:0.5", "limit": 1.0}]}
-        fjson = tmp_path / "firm.json"
-        fjson.write_text(json.dumps(firm))
-        ann = tmp_path / "ann.json"
-        commands = [
-            ["estimate", "--input", panel_csv, "--measure", "tail:0.1",
-             "--scheme", "uniform:300", "--seed", 7],
-            ["estimate", "--input", panel_csv, "--measure", "beta:6,2",
-             "--scheme", "geometric:0.98", "--trials", 800, "--seed", 7],
-            ["announce", "--input", panel_csv, "--measure", "alpha:6",
-             "--scheme", "uniform:300", "--trials", 300, "--seed", 5,
-             "--out", ann],
-            ["contrib", "--input", trade_csv, "--announced", ann, "--seed", 5],
-            ["contrib", "--input", trade_csv, "--firm", panel_csv, "--measure",
-             "tail:0.25", "--seed", 5],
-            ["factor", "--input", panel_csv, "--factors", fpath, "--measure",
-             "tail:0.25", "--regression", "knn:20"],
-            ["allocate", "--input", panel_csv, "--measure", "tail:0.3"],
-            ["kappa", "--input", trade_csv, "--firm", panel_csv,
-             "--measure", "tail:0.5"],
-            ["optimize", "--panel", ppath, "--rewards", rpath, "--limits", lpath,
-             "--restarts", 2, "--max-iter", 100, "--seed", 4],
-            ["equilibrium", "--firm", fjson, "--restarts", 2, "--max-iter", 100,
-             "--seed", 4],
-        ]
+    def test_byte_identical_reruns_all_subcommands(self, every_subcommand, capsys):
+        commands, _ = every_subcommand
         for argv in commands:
             code1, rep1 = run(capsys, argv)
             code2, rep2 = run(capsys, argv)
@@ -1118,6 +1151,19 @@ class TestDeterminismAndExitCodes:
             b1 = json.dumps(strip_timings(rep1), sort_keys=True)
             b2 = json.dumps(strip_timings(rep2), sort_keys=True)
             assert b1 == b2, argv
+
+    def test_reports_and_announce_file_keep_the_json_layout(self, every_subcommand,
+                                                             capsys):
+        def canonical(text):
+            return json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+        commands, ann = every_subcommand
+        for argv in commands:
+            assert cli.run_command([str(a) for a in argv]) == 0, argv
+            text = capsys.readouterr().out
+            assert text == canonical(text), argv
+        text = ann.read_text()
+        assert text == canonical(text)
 
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:

@@ -7,6 +7,7 @@ float loop for the sums. Results are compared bit for bit.
 """
 
 import bisect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from crm import _kernels as K
+from crm import sampling
 
 M64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
@@ -174,3 +176,49 @@ def test_cdf_indices_match_searchsorted_semantics():
     cdf = np.array([0.2, 0.5, 1.0])
     u = np.array([0.0, 0.19, 0.2, 0.49, 0.5, 0.99])
     assert K.cdf_indices(u, cdf).tolist() == [0, 0, 1, 1, 2, 2]
+
+
+def _edges(values):
+    """Each value and its float neighbours on either side."""
+    v = np.asarray(values, dtype=np.float64)
+    return np.concatenate([np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf)])
+
+
+@pytest.mark.parametrize("cdf", [
+    sampling._geometric_cdf(0.999, 2000),
+    sampling._geometric_cdf(0.97, 300),  # a long, slowly rising tail
+    np.arange(1, 251) / 250,  # every entry on a bucket edge j/n
+    np.repeat([0.0, 0.1, 0.1, 0.45, 0.5, 0.5, 1.0], [3, 40, 7, 1, 60, 9, 30]),
+    0.75 * sampling._geometric_cdf(0.99, 500),  # ends below 1
+    np.array([1.0]),
+], ids=["geometric", "slow-tail", "edges", "flat", "short", "single"])
+def test_cdf_indices_match_binary_search_over_chunks(cdf):
+    n = cdf.size
+    special = np.concatenate([[0.0, -0.0, 1.0], _edges(np.arange(n + 1) / n),
+                              _edges(cdf), _edges([cdf[-1]])])
+    special = special[(special >= 0.0) & (special <= 1.0)]
+    size = 7 * ((2 * K._CHUNK + 777) // 7)  # two full chunks and a remainder
+    u = np.concatenate([special, K.uniforms(11, 0, size - special.size)])
+    got = K.cdf_indices(u.reshape(-1, 7), cdf)
+    assert got.dtype == np.int64 and got.shape == (u.size // 7, 7)
+    want = np.searchsorted(cdf, u, side="right")
+    assert np.array_equal(got.ravel(), want)
+    table = cdf.tolist()
+    assert got.ravel()[:special.size].tolist() == [bisect.bisect_right(table, v)
+                                                   for v in special.tolist()]
+    if cdf[-1] < 1.0:
+        assert (got.ravel()[u >= cdf[-1]] == n).all()
+    assert (got.ravel()[u == 0.0] == np.searchsorted(cdf, 0.0, side="right")).all()
+
+
+def test_cdf_indices_memory_is_the_output_and_one_chunk():
+    u = K.uniforms(3, 0, 2_000_000)
+    cdf = sampling._geometric_cdf(0.999, 2000)
+    tracemalloc.start()
+    try:
+        out = K.cdf_indices(u, cdf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.nbytes == 16_000_000
+    assert peak < 2 * out.nbytes
