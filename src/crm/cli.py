@@ -64,12 +64,16 @@ _scalar = json.JSONEncoder(indent=2, allow_nan=False, default=_plain).encode
 
 def _emit(report: dict, stream=None) -> None:
     """Write report as json.dumps(report, sort_keys=True, indent=2,
-    allow_nan=False, default=_plain) does, plus a newline.
+    allow_nan=False, default=_plain) does, plus a newline, with one exception:
+    each innermost row of an integer ndarray is written on one line, as
+    json.dumps(row.tolist(), separators=(",", ":")) writes it.
 
     On Python 3.11 json.dumps(indent=...) always takes the pure-Python
     encoder, a few generator steps per value: 0.4 s for the announce payload's
     half million indices. So the layout is written here, scalars go through
-    json, and an integer array is joined a row at a time."""
+    json, and an integer array is joined a row at a time. A row on one line
+    costs about digits + 1 bytes per index, not the 12.6 of one indented line
+    per index; json.load reads either to the same value."""
     out = []
     _layout(report, "", out)
     out.append("\n")
@@ -79,16 +83,18 @@ def _emit(report: dict, stream=None) -> None:
 def _layout(obj, pad: str, out: list, int_dims: int = 0) -> None:
     """Append obj's text at indent `pad` to out. int_dims > 0 marks obj as
     nested lists of integers that many levels deep (an integer array's
-    tolist()), whose innermost lists are joined without json."""
+    tolist()); each innermost list is joined without json onto one line,
+    "[3,0,12]", and the outer levels keep json's indented layout."""
     if isinstance(obj, np.ndarray):
         if obj.ndim and obj.dtype.kind in "iu":
             _layout(obj.tolist(), pad, out, obj.ndim)
             return
         obj = obj.tolist()
+    if int_dims == 1:
+        out.append("[" + ",".join(map(str, obj)) + "]")
+        return
     inner = pad + "  "
-    if int_dims == 1 and obj:
-        out.append(f"[\n{inner}" + f",\n{inner}".join(map(str, obj)) + f"\n{pad}]")
-    elif isinstance(obj, dict) and obj:
+    if isinstance(obj, dict) and obj:
         sep = "{\n"
         for key in sorted(obj):
             # json writes a non-string key (number, bool, null) as its text, quoted
@@ -541,10 +547,13 @@ def _cmd_equilibrium(args) -> dict:
     if not isinstance(desk_spec, list) or not desk_spec:
         raise DataError(f"{args.firm}: expected a nonempty JSON array of desks")
     paths, panels, picks, specs = [], [], [], []
+    parsed = {}  # path -> panel: desks often share one file
     for i, entry in enumerate(desk_spec):
         where = f"{args.firm}: desks[{i}]"
         paths.append(os.path.join(base, _require(entry, "panel", where)))
-        p = _ingest_unweighted(paths[-1], "equilibrium")
+        if paths[-1] not in parsed:
+            parsed[paths[-1]] = _ingest_unweighted(paths[-1], "equilibrium")
+        p = parsed[paths[-1]]
         cols = entry.get("columns")
         panels.append(p)
         picks.append(slice(None) if cols is None else [p.column_index(c) for c in cols])

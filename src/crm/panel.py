@@ -108,6 +108,12 @@ def ingest_panel(path, returns: bool = False) -> JointPanel:
     names = header[1:]
     if not names:
         raise DataError(f"{path}: no asset columns")
+    column_of = {}
+    for col, name in enumerate(header, start=1):
+        if name in column_of:
+            raise DataError(f"{path}: column {name!r} appears twice "
+                            f"(columns {column_of[name]} and {col})")
+        column_of[name] = col
     prob_idx = names.index(_PROB_COLUMN) if _PROB_COLUMN in names else None
     body = rows[1:]
     if not body:

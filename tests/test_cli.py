@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import emit_reference
 from crm import cli
 from crm import distortion as D
 from crm import factor as F
@@ -118,6 +119,22 @@ class TestIngest:
         path.write_text(f"date,A,B\n2025-01-01,1.0,2.0\n2025-01-02,3.0,{cell}\n")
         with pytest.raises(DataError, match=r"t\.csv: row 3, column 'B': not a finite"):
             ingest_panel(path)
+
+    @pytest.mark.parametrize("header, name, columns", [
+        ("date,A,A", "A", "2 and 3"),            # was read as two assets
+        ("date,A,prob,prob", "prob", "3 and 4"),  # was a shape error naming no file
+    ])
+    def test_repeated_column_name_names_file_and_columns(self, tmp_path, capsys, header,
+                                                         name, columns):
+        path = tmp_path / "t.csv"
+        cells = ",1.0" * header.count(",")
+        path.write_text(f"{header}\n2025-01-01{cells}\n2025-01-02{cells}\n")
+        assert cli.run_command(["estimate", "--input", str(path), "--measure", "tail:0.5",
+                                "--columns", "A", "--seed", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"crm: error: {path}: column {name!r} appears twice "
+                                f"(columns {columns})\n")
 
     @pytest.mark.skipif(sys.version_info < (3, 11),
                         reason="date.fromisoformat reads 20200102 from Python 3.11 on")
@@ -287,6 +304,40 @@ class TestAnnounceContrib:
         if code:
             assert (f"{trade} runs from '{end}' back to '{start}', but {ann} announces "
                     "draws on the dates from '2025-03-01' back to '2025-01-01'") in err
+
+    def test_announce_file_in_the_indented_layout_still_prices(self, tmp_path, panel_csv,
+                                                               trade_csv, capsys):
+        # files written before integer rows went on one line hold one index per
+        # line; json reads both layouts to the same value
+        ann = tmp_path / "a.json"
+        assert run(capsys, ["announce", "--input", panel_csv, "--measure", "beta:6,2",
+                            "--trials", 200, "--seed", 4, "--out", ann])[0] == 0
+        argv = ["contrib", "--input", str(trade_csv), "--announced", str(ann), "--seed", "4"]
+
+        def report():
+            assert cli.run_command(argv) == 0
+            return re.sub(r'"seconds": .*', "", capsys.readouterr().out)
+
+        compact = ann.read_text()
+        want = report()
+        indented = json.dumps(json.loads(compact), sort_keys=True, indent=2) + "\n"
+        assert indented != compact
+        ann.write_text(indented)
+        assert report() == want
+
+    def test_announce_file_costs_a_digit_and_a_comma_per_index(self, tmp_path, panel_csv,
+                                                                capsys):
+        k, a, b = 40, 250, 25
+        ann = tmp_path / "a.json"
+        assert run(capsys, ["announce", "--input", panel_csv, "--measure", f"beta:{a},{b}",
+                            "--trials", k, "--seed", 6, "--out", ann])[0] == 0
+        payload = json.loads(ann.read_text())
+        values = [v for key in ("indices", "selected") for row in payload[key] for v in row]
+        assert len(values) == k * (a + b)
+        # each of the 2k rows adds its indent, brackets and line end; the other
+        # keys a few hundred bytes
+        bound = sum(len(str(v)) + 1 for v in values) + 8 * 2 * k + 600
+        assert len(ann.read_bytes()) <= bound
 
     def test_exact_contribution(self, panel_csv, trade_csv, capsys):
         code, rep = run(capsys, ["contrib", "--input", trade_csv, "--firm",
@@ -921,6 +972,36 @@ class TestEquilibriumCommand:
         assert len(rep["prices"]) == 1 and rep["prices"][0] > 0.0
 
 
+    def test_desks_on_one_file_read_it_once(self, tmp_path, capsys, monkeypatch):
+        rng = np.random.default_rng(12)
+        write_panel(tmp_path / "d.csv", ["A", "B", "C", "D"],
+                    rng.standard_normal((600, 4)).round(6).tolist())
+        desks = [{"name": "d1", "columns": ["A", "B"], "rewards": [1.0, 0.5]},
+                 {"name": "d2", "columns": ["C"], "rewards": [0.8]},
+                 {"name": "d3", "columns": ["D"], "rewards": [1.2]}]
+        limits = [{"measure": "tail:0.5", "limit": 1.0},
+                  {"measure": "beta:6,2", "limit": 1.5}]
+
+        def equilibrium(panels):
+            fpath = tmp_path / "firm.json"
+            fpath.write_text(json.dumps({
+                "desks": [{**d, "panel": f} for d, f in zip(desks, panels)],
+                "limits": limits}))
+            calls = []
+            read = cli.ingest_panel
+            monkeypatch.setattr(cli, "ingest_panel",
+                                lambda path, **kw: calls.append(path) or read(path, **kw))
+            code, rep = run(capsys, ["equilibrium", "--firm", fpath, "--seed", 9])
+            assert code == 0
+            return len(calls), strip_timings(rep)
+
+        for copy in ("e.csv", "f.csv"):
+            (tmp_path / copy).write_bytes((tmp_path / "d.csv").read_bytes())
+        shared, apart = equilibrium(["d.csv"] * 3), equilibrium(["d.csv", "e.csv", "f.csv"])
+        assert (shared[0], apart[0]) == (1, 3)
+        assert shared[1] == apart[1]
+
+
 class TestScenarioWeights:
     """contrib and kappa take prob weights from whichever panel has them."""
 
@@ -1155,7 +1236,12 @@ class TestDeterminismAndExitCodes:
     def test_reports_and_announce_file_keep_the_json_layout(self, every_subcommand,
                                                              capsys):
         def canonical(text):
-            return json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+            # the announce arrays are the only integer ndarrays a report holds
+            report = json.loads(text)
+            for key in ("indices", "selected"):
+                if key in report:
+                    report[key] = np.asarray(report[key])
+            return emit_reference(report)
 
         commands, ann = every_subcommand
         for argv in commands:

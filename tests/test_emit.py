@@ -1,8 +1,10 @@
 """The report writer against json.dumps, byte for byte.
 
 `cli._emit` writes the indent-2, sorted-key layout itself and hands every
-scalar to json; its text must be what json.dumps writes, and a non-finite
-float must raise json's ValueError with json's message.
+scalar to json. Its text must be what json.dumps writes, except that each
+innermost row of an integer ndarray sits on one line in json's compact form
+(`conftest.emit_reference`); a non-finite float must raise json's ValueError
+with json's message.
 """
 
 import io
@@ -14,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import emit_reference
 from crm import cli
 
 
@@ -58,7 +61,7 @@ values = st.recursive(
 @given(values)
 def test_emit_matches_json_dumps(obj):
     try:
-        want = dumps(obj)
+        want = emit_reference(obj)
     except ValueError as exc:
         with pytest.raises(ValueError) as got:
             emit(obj)
@@ -86,4 +89,6 @@ def test_announce_sized_integer_arrays():
     report = {"indices": rng.integers(0, 2000, size=(40, 250)),
               "cells": rng.integers(0, 9, size=(3, 4, 2)), "empty": np.zeros((2, 0), int),
               "selected": rng.integers(-5, 250, size=40)}
-    assert emit(report) == dumps(report)
+    text = emit(report)
+    assert text == emit_reference(report)
+    assert json.loads(text) == json.loads(dumps(report))
