@@ -38,15 +38,21 @@ def _scramble_seed(seed: int) -> np.uint64:
 
 
 def uniforms(seed: int, start: int, count: int) -> np.ndarray:
-    """`count` deterministic uniforms from the (seed, counter) stream."""
-    base = _scramble_seed(seed)
-    ctr = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    """`count` deterministic uniforms from the (seed, counter) stream.
+
+    The steps run in place on the counters, with one scratch array for the
+    shifts that finally holds the result: two 8-byte arrays per draw."""
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    shifted = np.empty_like(z)
     with np.errstate(over="ignore"):
-        z = base + ctr * _GAMMA
-        z = (z ^ (z >> _U64(30))) * _MIX1
-        z = (z ^ (z >> _U64(27))) * _MIX2
-        z = z ^ (z >> _U64(31))
-    return (z >> _U64(11)).astype(np.float64) * _INV53
+        z *= _GAMMA
+        z += _scramble_seed(seed)
+        for shift, mix in ((30, _MIX1), (27, _MIX2)):
+            z ^= np.right_shift(z, _U64(shift), out=shifted)
+            z *= mix
+        z ^= np.right_shift(z, _U64(31), out=shifted)
+        z >>= _U64(11)
+    return np.multiply(z, _INV53, out=shifted.view(np.float64))
 
 
 # ---------------------------------------------------------------------------

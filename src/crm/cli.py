@@ -38,6 +38,7 @@ from .scenario import ScenarioDistribution, tail_var, weighted_var
 __all__ = ["main", "run_command"]
 
 ANNOUNCE_SCHEMA = "crm.announce/1"
+_FULL_HISTORY = "uniform:1000000000"  # the default scheme: every period
 _NO_TRIAL_PROBS = "panel probability weights are not supported with --trials"
 _UNUSED_PROBS = "{path}: panel probability weights are not supported by {use}"
 
@@ -166,6 +167,26 @@ def _spec(kind: str, text, where: str):
         raise DataError(f"{where}: {exc}") from None
 
 
+def _scheme_arg(text: str, standardize: bool):
+    """The parsed --scheme; --standardize needs one that rescales increments."""
+    scheme = _sampling.parse_scheme(text)
+    _check_standardize(standardize, scheme, f"--scheme {text}")
+    return scheme
+
+
+def _check_standardize(standardize: bool, scheme, source: str) -> None:
+    if standardize and scheme.kind not in ("timechange", "scaling"):
+        raise DataError(f"--standardize needs a timechange or scaling scheme, not {source}")
+
+
+def _reject_unread(args, flags, mode: str) -> None:
+    """A DataError naming the first of `flags` that args sets: `mode` of the
+    command never reads them."""
+    for flag in flags:
+        if getattr(args, flag[2:].replace("-", "_")):
+            raise DataError(f"{mode} does not read {flag}")
+
+
 def _columns_arg(text):
     return [c.strip() for c in text.split(",")] if text else None
 
@@ -255,7 +276,7 @@ def _cmd_estimate(args) -> dict:
     panel = ingest_panel(args.input, returns=args.returns)
     series = panel.series(_columns_arg(args.columns))
     measure = _distortion.parse_measure(args.measure)
-    scheme = _sampling.parse_scheme(args.scheme)
+    scheme = _scheme_arg(args.scheme, args.standardize)
     out = {"measure": args.measure, "scheme": args.scheme, "seed": args.seed,
            "periods": panel.periods}
     if args.trials and panel.probs is not None:
@@ -281,6 +302,9 @@ def _cmd_estimate(args) -> dict:
         if panel.probs is not None:
             if probs is not None:
                 raise DataError("panel probability weights conflict with a weighting scheme")
+            if scheme.kind == "timechange":  # its periods sum windows of rows
+                raise DataError(_UNUSED_PROBS.format(path=args.input,
+                                                     use="the timechange scheme"))
             probs = _probs_on(panel, slice(eff.size), args.input)
         plot_dist = ScenarioDistribution(eff, probs)
         out.update(estimate=weighted_var(plot_dist, measure), method="exact")
@@ -312,7 +336,7 @@ def _cmd_announce(args) -> dict:
     if orders is None:
         raise DataError("announce needs an integer-order measure (alpha:A or beta:A,B)")
     a, b = orders
-    scheme = _sampling.parse_scheme(args.scheme)
+    scheme = _scheme_arg(args.scheme, args.standardize)
     eff, _ = _sampling.effective_series(series, scheme, args.standardize)
     draws, values = _draw_values(eff, scheme, args.seed, args.trials, a)
     selected = _kernels.rank_columns(values, b)
@@ -332,13 +356,17 @@ def _cmd_announce(args) -> dict:
 
 
 def _cmd_contrib(args) -> dict:
+    if args.announced:
+        _reject_unread(args, ("--measure", "--scheme", "--trials", "--firm", "--firm-columns"),
+                       "contrib --announced (the announce file fixes them)")
+        return _contrib_announced(args)
     if args.trials:
         _check_trials(args.trials)
-    if args.announced:
-        return _contrib_announced(args)
-    if args.firm:
-        return _contrib_inprocess(args)
-    raise DataError("contrib needs either --announced or --firm")
+    if not args.firm:
+        raise DataError("contrib needs either --announced or --firm")
+    if not args.trials:
+        _reject_unread(args, ("--scheme", "--standardize"), "exact contrib (without --trials)")
+    return _contrib_inprocess(args)
 
 
 def _contrib_announced(args) -> dict:
@@ -364,6 +392,7 @@ def _contrib_announced(args) -> dict:
     series = panel.series(_columns_arg(args.columns))
     scheme_text = _require(ann, "scheme", path)
     scheme = _spec("scheme", scheme_text, f"{path}: key 'scheme'")
+    _check_standardize(args.standardize, scheme, f"{path}'s scheme {scheme_text}")
     series_len = int(ints("series_len", (), 1))
     eff, _ = _sampling.effective_series(series, scheme, args.standardize)
     if eff.size < series_len:
@@ -377,12 +406,12 @@ def _contrib_announced(args) -> dict:
     b = int(ints("order_beta", (), 1, a + 1))
     cells = (k, a, scheme.subintervals) if scheme.kind == "bootstrap" else (k, a)
     draws = _sampling.DrawMatrix(indices=ints("indices", cells, 0, series_len),
-                                 seed=_require(ann, "seed", path), scheme=scheme,
                                  series_len=series_len)
+    seed = _require(ann, "seed", path)
     selected = ints("selected", _selected_shape(k, b), 0, a)
     est = _mc.selected_mean(_sampling.materialize(draws, eff), selected)
     return {"measure": _require(ann, "measure", path), "scheme": scheme_text,
-            "seed": draws.seed, "trials": est.trials, "contribution": est.value,
+            "seed": seed, "trials": est.trials, "contribution": est.value,
             "std_error": est.std_error, "method": "announced"}
 
 
@@ -395,14 +424,16 @@ def _contrib_inprocess(args) -> dict:
         _columns_arg(args.firm_columns), args.returns, trials=bool(args.trials))
     if args.trials:
         a, b = measure.orders
-        scheme = _sampling.parse_scheme(args.scheme)
+        scheme_text = args.scheme or _FULL_HISTORY
+        scheme = _scheme_arg(scheme_text, args.standardize)
         eff_w, _ = _sampling.effective_series(w_series, scheme, args.standardize)
         draws, w_vals = _draw_values(eff_w, scheme, args.seed, args.trials, a)
         eff_x, _ = _sampling.effective_series(x_series, scheme, args.standardize)
         x_vals = _sampling.materialize(draws, eff_x)
-        est = _mc.beta_contribution_mc(x_vals, w_vals, b)
-        firm_est = _mc.beta_var_mc(w_vals, b)
-        return {"measure": args.measure, "scheme": args.scheme, "seed": args.seed,
+        # one ranking of the firm's draws picks the columns of both estimates
+        cols = _kernels.rank_columns(w_vals, b)
+        est, firm_est = _mc.selected_mean(x_vals, cols), _mc.selected_mean(w_vals, cols)
+        return {"measure": args.measure, "scheme": scheme_text, "seed": args.seed,
                 "trials": est.trials, "contribution": est.value,
                 "std_error": est.std_error, "firm_risk": firm_est.value,
                 "firm_risk_std_error": firm_est.std_error, "method": "monte-carlo"}
@@ -656,7 +687,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="risk estimate of a panel portfolio")
     p.add_argument("--input", required=True)
     p.add_argument("--measure", required=True)
-    p.add_argument("--scheme", default="uniform:1000000000")
+    p.add_argument("--scheme", default=_FULL_HISTORY)
     p.add_argument("--trials", type=int, default=0)
     p.add_argument("--columns")
     p.add_argument("--emit-plot-data", metavar="PREFIX")
@@ -666,7 +697,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("announce", help="publish draw arrays for desk-level pricing")
     p.add_argument("--input", required=True)
     p.add_argument("--measure", required=True)
-    p.add_argument("--scheme", default="uniform:1000000000")
+    p.add_argument("--scheme", default=_FULL_HISTORY)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--columns")
     p.add_argument("--out")
@@ -680,7 +711,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--firm-columns")
     p.add_argument("--announced", help="announce file from `crm announce`")
     p.add_argument("--measure", default="")
-    p.add_argument("--scheme", default="uniform:1000000000")
+    p.add_argument("--scheme", help=f"Monte Carlo draw scheme (default {_FULL_HISTORY})")
     p.add_argument("--trials", type=int, default=0)
     common(p, standardize=True)
     p.set_defaults(fn=_cmd_contrib)

@@ -233,18 +233,20 @@ def conditional_means(series, y, method: str = "auto", **regressor_kwargs) -> np
 
 
 def factor_risk(series, y, measure: WeightingMeasure, method: str = "auto",
-                probs=None, **regressor_kwargs) -> float:
+                **regressor_kwargs) -> float:
     """Risk carried by the position through the factor: the risk of the fitted
-    conditional mean evaluated on the factor sample."""
+    conditional mean, each factor sample weighted equally (the regressors fit
+    unweighted too)."""
     fitted = conditional_means(series, y, method, **regressor_kwargs)
-    return weighted_var(ScenarioDistribution(fitted, probs), measure)
+    return weighted_var(ScenarioDistribution(fitted), measure)
 
 
 def factor_contribution(x_series, w_series, y, measure: WeightingMeasure,
-                        method: str = "auto", probs=None, fn=None, fn_w=None,
+                        method: str = "auto", fn=None, fn_w=None,
                         **regressor_kwargs) -> float:
     """Factor-risk contribution of x to w: the contribution between the two
-    fitted conditional means (risk-signed), both from one fit.
+    fitted conditional means (risk-signed), both from one fit, on equally
+    weighted factor samples.
 
     With the analytic method, `fn` is the conditional mean of x and `fn_w`
     that of the reference (defaulting to `fn` for self-contribution checks).
@@ -258,7 +260,7 @@ def factor_contribution(x_series, w_series, y, measure: WeightingMeasure,
     else:
         fx, gw = conditional_means(np.column_stack([x_series, w_series]), y, method,
                                    **regressor_kwargs).T
-    return risk_contribution(fx, gw, probs, measure)
+    return risk_contribution(fx, gw, None, measure)
 
 
 def gaussian_factor_risk(mean_x: float, cov_xy, cov_yy, multiplier: float) -> float:

@@ -16,6 +16,11 @@ Schemes:
   windows of round(s^2*n) sub-increments form one period;
 * ``scaling:s``        -- standardize increments by a rolling volatility and
   rescale them to the current level s (filtered historical simulation).
+
+Draws follow the geometric cdf when the scheme has a decay, else they are
+uniform over its window (or the whole sampled series); bootstrap adds a
+sub-draw axis. Standardizing divides by ``ewma_volatility``, whose decay and
+window are the constants ``_EWMA_DECAY`` and ``_EWMA_WINDOW``.
 """
 
 from __future__ import annotations
@@ -64,19 +69,6 @@ class DrawScheme:
         else:
             raise ValueError(f"unknown scheme kind {k!r}")
 
-    def spec_string(self) -> str:
-        if self.kind == "uniform":
-            return f"uniform:{self.window}"
-        if self.kind == "geometric":
-            return f"geometric:{self.decay!r}"
-        if self.kind == "bootstrap":
-            if self.decay is not None:
-                return f"bootstrap:{self.subintervals},{self.decay!r}"
-            return f"bootstrap:{self.subintervals}"
-        if self.kind == "timechange":
-            return f"timechange:{self.sigma!r},{self.subintervals}"
-        return f"scaling:{self.sigma!r}"
-
 
 def parse_scheme(text: str) -> DrawScheme:
     """Parse a scheme spec string (see module docstring for the grammar)."""
@@ -105,12 +97,10 @@ def parse_scheme(text: str) -> DrawScheme:
 
 @dataclass(frozen=True)
 class DrawMatrix:
-    """Drawn period indices: (K, alpha) for single-index schemes, or
-    (K, alpha, n) for bootstrap composition."""
+    """Drawn period indices into a series of series_len periods: (K, alpha),
+    or (K, alpha, n) for bootstrap composition."""
 
     indices: np.ndarray
-    seed: int
-    scheme: DrawScheme
     series_len: int
 
 
@@ -147,34 +137,24 @@ def generate_draws(scheme: DrawScheme, series_len: int, trials: int,
     `series_len` is the length of the series actually sampled, the
     ``effective_series`` of the scheme: uniform clips its window to it, and
     timechange and scaling draw uniformly over it. Cell (k, l) consumes the
-    substream slot k*alpha + l, so any sub-block is reproducible in isolation.
+    substream slot k*alpha + l (bootstrap: n slots per cell), so any sub-block
+    is reproducible in isolation.
     """
     if series_len < 1:
         raise ValueError("series_len must be >= 1")
     if trials < 1 or draws_per_trial < 1:
         raise ValueError("trials and draws_per_trial must be >= 1")
-    count = trials * draws_per_trial
+    shape = (trials, draws_per_trial)
     if scheme.kind == "bootstrap":
-        n_sub = scheme.subintervals
-        u = _kernels.uniforms(seed, 0, count * n_sub)
-        if scheme.decay is not None:
-            cdf = _geometric_cdf(scheme.decay, series_len)
-            idx = _kernels.cdf_indices(u, cdf)
-        else:
-            idx = _kernels.uniform_indices(u, series_len)
-        indices = idx.reshape(trials, draws_per_trial, n_sub)
-    elif scheme.kind == "geometric":
-        cdf = _geometric_cdf(scheme.decay, series_len)
-        u = _kernels.uniforms(seed, 0, count)
-        indices = _kernels.cdf_indices(u, cdf).reshape(trials, draws_per_trial)
+        shape += (scheme.subintervals,)
+    u = _kernels.uniforms(seed, 0, math.prod(shape))
+    if scheme.decay is None:
+        idx = _kernels.uniform_indices(u, min(scheme.window or series_len, series_len))
     else:
-        n_eff = series_len
-        if scheme.kind == "uniform":
-            n_eff = min(scheme.window, series_len)
-        u = _kernels.uniforms(seed, 0, count)
-        indices = _kernels.uniform_indices(u, n_eff).reshape(trials, draws_per_trial)
+        idx = _kernels.cdf_indices(u, _geometric_cdf(scheme.decay, series_len))
+    indices = idx.reshape(shape)
     indices.flags.writeable = False
-    return DrawMatrix(indices=indices, seed=seed, scheme=scheme, series_len=series_len)
+    return DrawMatrix(indices=indices, series_len=series_len)
 
 
 def materialize(draws: DrawMatrix, series: np.ndarray) -> np.ndarray:
@@ -191,27 +171,32 @@ def materialize(draws: DrawMatrix, series: np.ndarray) -> np.ndarray:
 # Series preprocessing
 # ---------------------------------------------------------------------------
 
-def ewma_volatility(increments: np.ndarray, decay: float = 0.94,
-                    window: int = 20) -> np.ndarray:
+_EWMA_DECAY = 0.94   # RiskMetrics daily decay
+_EWMA_WINDOW = 20    # older increments per estimate
+
+
+def _prepare_increments(raw) -> np.ndarray:
+    x = np.asarray(raw, dtype=float)
+    if x.ndim != 1 or x.size == 0:
+        raise ValueError("increment series must be nonempty and 1-d")
+    return x
+
+
+def ewma_volatility(increments) -> np.ndarray:
     """Rolling volatility per period from strictly older increments.
 
     Most-recent-first input: the estimate at position t uses positions
-    t+1 .. t+window with exponentially decaying weights (normalized, so a
+    t+1 .. t+_EWMA_WINDOW with weights _EWMA_DECAY**age (normalized, so a
     constant-magnitude series reproduces that magnitude). Trailing positions
     without any older data inherit the oldest computable estimate.
     """
-    x = np.asarray(increments, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("increments must be a nonempty 1-d sequence")
-    if not 0.0 < decay < 1.0 or window < 1:
-        raise ValueError("need 0 < decay < 1 and window >= 1")
+    x = _prepare_increments(increments)
     n = x.size
     sq = x * x
-    w = decay ** np.arange(window)
-    out = np.empty(n)
-    out[:] = np.nan
+    w = _EWMA_DECAY ** np.arange(_EWMA_WINDOW)
+    out = np.full(n, np.nan)
     for t in range(n - 1):
-        m = min(window, n - 1 - t)
+        m = min(_EWMA_WINDOW, n - 1 - t)
         ww = w[:m]
         out[t] = math.sqrt(float(np.dot(ww, sq[t + 1:t + 1 + m]) / ww.sum()))
     if n > 1:
@@ -221,67 +206,35 @@ def ewma_volatility(increments: np.ndarray, decay: float = 0.94,
     return np.where(out > 0.0, out, 1.0)
 
 
-def _prepare_increments(raw, timestamps) -> np.ndarray:
-    x = np.asarray(raw, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("increment series must be nonempty and 1-d")
-    if timestamps is not None:
-        ts = np.asarray(timestamps)
-        if ts.shape != x.shape:
-            raise ValueError("timestamps must align with increments")
-        x = x[np.argsort(ts, kind="stable")[::-1]]  # most recent first
-    return x
-
-
 def time_change_series(raw, sigma: float, subintervals: int, *,
-                       timestamps=None, mode: str = "consecutive",
-                       seed: int = 0, vol: Optional[np.ndarray] = None,
-                       standardize: bool = False,
-                       decay: float = 0.94, window: int = 20) -> np.ndarray:
-    """Resample a sub-increment series on the volatility-stretched clock.
+                       standardize: bool = False) -> np.ndarray:
+    """Resample most-recent-first sub-increments on the stretched clock.
 
-    Each output period aggregates m = round(sigma^2 * subintervals)
-    sub-increments: consecutive windows anchored at the most recent point, or
-    m randomly composed sub-increments per window in "bootstrap" mode.
-    Optional standardization divides sub-increments by a rolling EWMA
-    volatility (or a supplied ``vol`` vector) first.
+    Each output period sums m = round(sigma^2 * subintervals) consecutive
+    sub-increments, windows anchored at the most recent point; a partial
+    oldest window is dropped. With `standardize`, sub-increments are first
+    divided by their ``ewma_volatility``.
     """
     if sigma <= 0.0:
         raise ValueError("sigma must be > 0")
     if subintervals < 1:
         raise ValueError("subintervals must be >= 1")
-    x = _prepare_increments(raw, timestamps)
+    x = _prepare_increments(raw)
     m = int(round(sigma * sigma * subintervals))
     if m == 0:
         raise ValueError(f"sigma^2 * subintervals rounds to zero (sigma={sigma})")
-    if vol is not None:
-        x = x / np.asarray(vol, dtype=float)
-    elif standardize:
-        x = x / ewma_volatility(x, decay=decay, window=window)
-    if mode == "consecutive":
-        periods = x.size // m
-        if periods == 0:
-            raise ValueError("series shorter than one stretched window")
-        return x[:periods * m].reshape(periods, m).sum(axis=1)
-    if mode == "bootstrap":
-        periods = max(x.size // m, 1)
-        u = _kernels.uniforms(seed, 0, periods * m)
-        idx = _kernels.uniform_indices(u, x.size).reshape(periods, m)
-        return x[idx].sum(axis=1)
-    raise ValueError(f"unknown time-change mode {mode!r}")
+    if standardize:
+        x = x / ewma_volatility(x)
+    periods = x.size // m
+    if periods == 0:
+        raise ValueError("series shorter than one stretched window")
+    return x[:periods * m].reshape(periods, m).sum(axis=1)
 
 
-def scale_series(raw, sigma: float, *, timestamps=None,
-                 vol: Optional[np.ndarray] = None,
-                 decay: float = 0.94, window: int = 20) -> np.ndarray:
-    """Standardized increments rescaled to the current volatility level."""
+def scale_series(raw, sigma: float) -> np.ndarray:
+    """Most-recent-first increments divided by their ``ewma_volatility`` and
+    rescaled to the current volatility level sigma."""
     if sigma <= 0.0:
         raise ValueError("sigma must be > 0")
-    x = _prepare_increments(raw, timestamps)
-    if vol is None:
-        vol = ewma_volatility(x, decay=decay, window=window)
-    else:
-        vol = np.asarray(vol, dtype=float)
-        if vol.shape != x.shape:
-            raise ValueError("vol must align with increments")
-    return sigma * (x / vol)
+    x = _prepare_increments(raw)
+    return sigma * (x / ewma_volatility(x))

@@ -121,7 +121,7 @@ def equilibrium_prices(firm: FirmInstance, holdings, binding_tol: float = _BINDI
     return prices, residual, risks
 
 
-def limit_trades(firm: FirmInstance, holdings, extremes=None) -> np.ndarray:
+def limit_trades(firm: FirmInstance, holdings) -> np.ndarray:
     """Zero-sum limit trades making every desk's traded limit feasible.
 
     Desk n buys contribution_n - initial_n of limit m, plus its proportional
@@ -129,8 +129,7 @@ def limit_trades(firm: FirmInstance, holdings, extremes=None) -> np.ndarray:
     limit covers the desk's contribution. Infeasible when the firm portfolio
     itself breaches a limit.
     """
-    if extremes is None:
-        _, extremes = _firm_extremes(firm, holdings)
+    _, extremes = _firm_extremes(firm, holdings)
     n, m = firm.allocation.shape
     contrib = np.empty((n, m))
     for j, ew in enumerate(extremes):

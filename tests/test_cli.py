@@ -351,6 +351,76 @@ class TestAnnounceContrib:
         assert rep["contribution"] == pytest.approx(want, abs=1e-12)
 
 
+class TestFlagsAModeNeverReads:
+    """A flag that contrib's mode, or the chosen scheme, would ignore exits 1
+    naming the flag."""
+
+    @pytest.fixture()
+    def ann(self, tmp_path, panel_csv, capsys):
+        path = tmp_path / "a.json"
+        code, _ = run(capsys, ["announce", "--input", panel_csv, "--measure", "beta:6,2",
+                               "--scheme", "uniform:300", "--trials", 50, "--seed", 3,
+                               "--out", path])
+        assert code == 0
+        return path
+
+    def rejected(self, capsys, argv, flag):
+        code = cli.run_command([str(a) for a in argv])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert flag in captured.err
+
+    @pytest.mark.parametrize("extra", [["--scheme", "geometric:0.5"], ["--standardize"]])
+    def test_exact_contrib(self, panel_csv, trade_csv, capsys, extra):
+        self.rejected(capsys, ["contrib", "--input", trade_csv, "--firm", panel_csv,
+                               "--measure", "tail:0.25", "--seed", 1] + extra, extra[0])
+
+    @pytest.mark.parametrize("extra", [
+        ["--measure", "beta:6,2"], ["--scheme", "uniform:300"], ["--trials", "50"],
+        ["--firm", "p.csv"], ["--firm-columns", "A"]])
+    def test_contrib_announced(self, ann, trade_csv, capsys, extra):
+        self.rejected(capsys, ["contrib", "--input", trade_csv, "--announced", ann,
+                               "--seed", 3] + extra, extra[0])
+
+    @pytest.mark.parametrize("scheme", ["uniform:300", "geometric:0.9", "bootstrap:2"])
+    @pytest.mark.parametrize("command", ["estimate", "announce", "contrib"])
+    def test_standardize_needs_a_rescaling_scheme(self, panel_csv, trade_csv, capsys,
+                                                  command, scheme):
+        argv = [command, "--input", panel_csv, "--measure", "alpha:4", "--scheme", scheme,
+                "--trials", 20, "--seed", 1, "--standardize"]
+        if command == "contrib":
+            argv[2:3] = [trade_csv, "--firm", panel_csv]
+        self.rejected(capsys, argv, "--standardize")
+
+    def test_standardize_needs_a_rescaling_announced_scheme(self, ann, trade_csv, capsys):
+        self.rejected(capsys, ["contrib", "--input", trade_csv, "--announced", ann,
+                               "--seed", 3, "--standardize"], "--standardize")
+
+    def test_monte_carlo_contrib_echoes_the_default_scheme(self, panel_csv, trade_csv,
+                                                          capsys):
+        code, rep = run(capsys, ["contrib", "--input", trade_csv, "--firm", panel_csv,
+                                 "--measure", "alpha:4", "--trials", 20, "--seed", 1])
+        assert code == 0 and rep["scheme"] == "uniform:1000000000"
+
+    def test_monte_carlo_contrib_ranks_the_firm_draws_once(self, panel_csv, trade_csv,
+                                                          capsys, monkeypatch):
+        from crm import _kernels, mc
+        rank = _kernels.rank_columns
+        calls = []
+        monkeypatch.setattr(_kernels, "rank_columns",
+                            lambda w, b: calls.append(b) or rank(w, b))
+        code, rep = run(capsys, ["contrib", "--input", trade_csv, "--firm", panel_csv,
+                                 "--measure", "beta:6,2", "--trials", 40, "--seed", 5])
+        assert code == 0 and calls == [2]
+        monkeypatch.undo()
+        draws = sampling.generate_draws(sampling.parse_scheme("uniform:1000000000"), 300,
+                                        40, 6, 5)
+        x = sampling.materialize(draws, ingest_panel(trade_csv).series())
+        w = sampling.materialize(draws, ingest_panel(panel_csv).series())
+        assert rep["contribution"] == mc.beta_contribution_mc(x, w, 2).value
+        assert rep["firm_risk"] == mc.beta_var_mc(w, 2).value
+
+
 class TestTrialCount:
     @pytest.mark.parametrize("argv", [
         ["estimate", "--measure", "alpha:8", "--scheme", "uniform:300"],
@@ -1108,6 +1178,17 @@ class TestScenarioWeights:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert "panel probability weights are not supported with --trials" in captured.err
+
+    def test_timechange_rejects_weights(self, tmp_path, capsys):
+        # its periods sum windows of rows, which the row weights do not describe
+        firm = tmp_path / "firm.csv"
+        firm.write_text(self.FIRM)
+        code = cli.run_command(["estimate", "--input", str(firm), "--measure", "tail:0.5",
+                                "--scheme", "timechange:1.0,2", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert (f"{firm}: panel probability weights are not supported by the timechange "
+                "scheme") in captured.err
 
     def test_measure_without_orders_checked_before_files(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.csv")

@@ -211,6 +211,19 @@ def test_cdf_indices_match_binary_search_over_chunks(cdf):
     assert (got.ravel()[u == 0.0] == np.searchsorted(cdf, 0.0, side="right")).all()
 
 
+def test_uniforms_memory_is_two_arrays_of_the_draw_count():
+    # the counters, stepped in place, and one scratch array that ends as the
+    # output: a fresh array per splitmix64 step would take twice that
+    tracemalloc.start()
+    try:
+        u = K.uniforms(3, 0, 2_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert u.nbytes == 16_000_000
+    assert peak < 2.5 * u.nbytes
+
+
 def test_cdf_indices_memory_is_the_output_and_one_chunk():
     u = K.uniforms(3, 0, 2_000_000)
     cdf = sampling._geometric_cdf(0.999, 2000)

@@ -8,12 +8,6 @@ from crm import sampling as sp
 
 
 class TestParse:
-    def test_round_trip(self):
-        for text in ("uniform:500", "geometric:0.98", "bootstrap:8",
-                     "bootstrap:8,0.97", "timechange:1.3,8", "scaling:1.3"):
-            s = sp.parse_scheme(text)
-            assert sp.parse_scheme(s.spec_string()).spec_string() == s.spec_string()
-
     def test_invalid(self):
         for text in ("uniform:0", "geometric:1.5", "bootstrap:0", "timechange:0,4",
                      "scaling:-1", "wat:3", "uniform"):
@@ -133,21 +127,9 @@ class TestTimeChange:
         out = sp.time_change_series(x, sigma=np.sqrt(2.0), subintervals=1)
         assert out.tolist() == [3.0, 7.0]
 
-    def test_chronological_input_via_timestamps(self):
-        out = sp.time_change_series([1.0, 2.0, 3.0, 4.0], sigma=np.sqrt(2.0),
-                                    subintervals=1, timestamps=[1, 2, 3, 4])
-        assert out.tolist() == [7.0, 3.0]
-
     def test_zero_series_stays_zero(self):
         out = sp.time_change_series(np.zeros(24), sigma=1.7, subintervals=4)
         assert np.all(out == 0.0)
-
-    def test_bootstrap_mode_deterministic(self):
-        x = np.arange(1.0, 33.0)
-        a = sp.time_change_series(x, 1.5, 4, mode="bootstrap", seed=3)
-        b = sp.time_change_series(x, 1.5, 4, mode="bootstrap", seed=3)
-        assert np.array_equal(a, b)
-        assert a.size == x.size // 9  # m = round(2.25 * 4)
 
     def test_window_rounds_to_zero(self):
         with pytest.raises(ValueError):
@@ -159,15 +141,6 @@ class TestTimeChange:
 
 
 class TestScaling:
-    def test_unit_standardization_passthrough(self):
-        x = np.array([0.4, -1.1, 2.2])
-        out = sp.scale_series(x, 1.0, vol=np.ones(3))
-        assert np.allclose(out, x)
-
-    def test_prestandardized_linear_scaling(self):
-        out = sp.scale_series(np.array([2.0, -2.0]), 3.0, vol=np.ones(2))
-        assert out.tolist() == [6.0, -6.0]
-
     def test_burst_is_damped_relative_to_raw(self):
         # quiet history, then a volatility burst in the recent half: rolling
         # standardization shrinks post-burst magnitudes relative to raw
@@ -201,4 +174,4 @@ class TestEwmaVolatility:
         with pytest.raises(ValueError):
             sp.ewma_volatility([])
         with pytest.raises(ValueError):
-            sp.ewma_volatility([1.0], decay=1.5)
+            sp.ewma_volatility([[1.0, 2.0]])
