@@ -39,7 +39,7 @@ __all__ = ["main", "run_command"]
 
 ANNOUNCE_SCHEMA = "crm.announce/1"
 _FULL_HISTORY = "uniform:1000000000"  # the default scheme: every period
-_NO_TRIAL_PROBS = "panel probability weights are not supported with --trials"
+_NO_TRIAL_PROBS = "{path}: panel probability weights are not supported with --trials"
 _UNUSED_PROBS = "{path}: panel probability weights are not supported by {use}"
 
 
@@ -137,6 +137,13 @@ def _require(entry, key: str, where: str):
     return entry[key]
 
 
+def _only_keys(entry: dict, keys, where: str) -> None:
+    """A DataError naming the first key of entry outside keys: nothing reads it."""
+    for key in entry:
+        if key not in keys:
+            raise DataError(f"{where}: unknown key {key!r} (allowed: {', '.join(keys)})")
+
+
 def _numbers(value, what: str, need: str, ok) -> np.ndarray:
     """value as floats that all pass ok, or a DataError naming what and need."""
     try:
@@ -154,6 +161,22 @@ def _limit_value(entry, where: str) -> float:
     return float(_numbers(_require(entry, "limit", where), f"{where}: key 'limit'",
                           "a positive finite number",
                           lambda a: a.ndim == 0 and np.isfinite(a) and a > 0.0))
+
+
+def _read_limits(spec, path: str, name: str, keys=("measure", "limit")):
+    """The risk limits of the JSON array spec read from path, one (where,
+    entry, measure text, measure, limit) per entry. name.format(i) names
+    entry i in messages, and an entry may hold only keys."""
+    if not isinstance(spec, list) or not spec:
+        raise DataError(f"{path}: expected a nonempty JSON array of limits")
+    out = []
+    for i, entry in enumerate(spec):
+        where = f"{path}: {name.format(i)}"
+        text = _require(entry, "measure", where)
+        _only_keys(entry, keys, where)
+        limit = _limit_value(entry, where)
+        out.append((where, entry, text, _spec("measure", text, where), limit))
+    return out
 
 
 def _spec(kind: str, text, where: str):
@@ -243,8 +266,10 @@ def _load_aligned(path_a, path_b, columns_a, columns_b, returns: bool, trials: b
     `trials`, prob columns are rejected."""
     pa = ingest_panel(path_a, returns=returns)
     pb = ingest_panel(path_b, returns=returns)
-    if trials and (pa.probs is not None or pb.probs is not None):
-        raise DataError(_NO_TRIAL_PROBS)
+    if trials:
+        for path, panel in ((path_a, pa), (path_b, pb)):
+            if panel.probs is not None:
+                raise DataError(_NO_TRIAL_PROBS.format(path=path))
     ia, ib = align(pa.dates, pb.dates)
     if ia.size == 0:
         raise DataError(f"{path_a} and {path_b} share no dates")
@@ -280,7 +305,7 @@ def _cmd_estimate(args) -> dict:
     out = {"measure": args.measure, "scheme": args.scheme, "seed": args.seed,
            "periods": panel.periods}
     if args.trials and panel.probs is not None:
-        raise DataError(_NO_TRIAL_PROBS)
+        raise DataError(_NO_TRIAL_PROBS.format(path=args.input))
     if not args.trials and scheme.kind == "bootstrap":
         raise DataError(f"scheme {args.scheme} needs --trials")
     eff, probs = _sampling.effective_series(series, scheme, args.standardize)
@@ -330,7 +355,7 @@ def _cmd_announce(args) -> dict:
     _check_trials(args.trials)
     panel = ingest_panel(args.input, returns=args.returns)
     if panel.probs is not None:
-        raise DataError(_NO_TRIAL_PROBS)
+        raise DataError(_NO_TRIAL_PROBS.format(path=args.input))
     series = panel.series(_columns_arg(args.columns))
     orders = _distortion.parse_measure(args.measure).orders
     if orders is None:
@@ -344,7 +369,7 @@ def _cmd_announce(args) -> dict:
         "schema": ANNOUNCE_SCHEMA,
         "measure": args.measure, "scheme": args.scheme, "seed": args.seed,
         "trials": args.trials, "draws_per_trial": a, "order_beta": b,
-        "series_len": int(eff.size),
+        "series_len": int(eff.size), "standardize": args.standardize,
         "first_date": panel.dates[0], "last_date": panel.dates[-1],
         "indices": draws.indices,
         "selected": selected.reshape(_selected_shape(args.trials, b)),
@@ -381,7 +406,7 @@ def _contrib_announced(args) -> dict:
 
     panel = ingest_panel(args.input, returns=args.returns)
     if panel.probs is not None:
-        raise DataError(_NO_TRIAL_PROBS)
+        raise DataError(_NO_TRIAL_PROBS.format(path=args.input))
     # announced indices are positions in a most-recent-first series, so the
     # trade must start on the firm's most recent date and reach its oldest one
     first, last = _require(ann, "first_date", path), _require(ann, "last_date", path)
@@ -392,9 +417,17 @@ def _contrib_announced(args) -> dict:
     series = panel.series(_columns_arg(args.columns))
     scheme_text = _require(ann, "scheme", path)
     scheme = _spec("scheme", scheme_text, f"{path}: key 'scheme'")
-    _check_standardize(args.standardize, scheme, f"{path}'s scheme {scheme_text}")
+    # files written before announce recorded the flag leave it to the desk
+    standardize = ann.get("standardize", args.standardize)
+    if not isinstance(standardize, bool):
+        raise DataError(f"{path}: key 'standardize' must be true or false, "
+                        f"got {standardize!r}")
+    if args.standardize and not standardize:
+        raise DataError(f"{path} was announced without --standardize; "
+                        "contrib --announced cannot add it")
+    _check_standardize(standardize, scheme, f"{path}'s scheme {scheme_text}")
     series_len = int(ints("series_len", (), 1))
-    eff, _ = _sampling.effective_series(series, scheme, args.standardize)
+    eff, _ = _sampling.effective_series(series, scheme, standardize)
     if eff.size < series_len:
         raise DataError(
             f"trade history too short: announce covers {series_len} periods, "
@@ -495,17 +528,12 @@ def _cmd_optimize(args) -> dict:
     rewards = _read_rewards(args.rewards, panel)
     with open(args.limits) as fh:
         spec = json.load(fh)
-    if not isinstance(spec, list) or not spec:
-        raise DataError(f"{args.limits}: expected a nonempty JSON array of limits")
     factors = None
     reg = _parse_regression(args.regression)
     method = reg.pop("method")
     limits = []
-    for i, entry in enumerate(spec):
-        where = f"{args.limits}: entry {i}"
-        text = _require(entry, "measure", where)
-        limit = _limit_value(entry, where)
-        measure = _spec("measure", text, where)
+    for where, entry, text, measure, limit in _read_limits(
+            spec, args.limits, "entry {}", ("measure", "limit", "label", "factor")):
         label = entry.get("label") or f"{text}<= {entry['limit']}"
         if entry.get("factor"):
             if factors is None:
@@ -575,6 +603,7 @@ def _cmd_equilibrium(args) -> dict:
     base = os.path.dirname(os.path.abspath(args.firm))
     desk_spec = _require(spec, "desks", args.firm)
     limit_spec = _require(spec, "limits", args.firm)
+    _only_keys(spec, ("desks", "limits", "allocation"), args.firm)
     if not isinstance(desk_spec, list) or not desk_spec:
         raise DataError(f"{args.firm}: expected a nonempty JSON array of desks")
     paths, panels, picks, specs = [], [], [], []
@@ -582,6 +611,7 @@ def _cmd_equilibrium(args) -> dict:
     for i, entry in enumerate(desk_spec):
         where = f"{args.firm}: desks[{i}]"
         paths.append(os.path.join(base, _require(entry, "panel", where)))
+        _only_keys(entry, ("name", "panel", "columns", "rewards", "bounds"), where)
         if paths[-1] not in parsed:
             parsed[paths[-1]] = _ingest_unweighted(paths[-1], "equilibrium")
         p = parsed[paths[-1]]
@@ -615,12 +645,8 @@ def _cmd_equilibrium(args) -> dict:
     # the rounding of the solver's matrix products
     desks = [_sharing.Desk(panel=p.pnl[r][:, pick], **spec)
              for p, r, pick, spec in zip(panels, rows, picks, specs)]
-    texts, limit_vals, measures = [], [], []
-    for i, entry in enumerate(limit_spec):
-        where = f"{args.firm}: limits[{i}]"
-        texts.append(_require(entry, "measure", where))
-        limit_vals.append(_limit_value(entry, where))
-        measures.append(_spec("measure", texts[-1], where))
+    _, _, texts, measures, limit_vals = zip(*_read_limits(limit_spec, args.firm,
+                                                          "limits[{}]"))
     limit_vals = np.array(limit_vals)
     if "allocation" in spec:
         allocation = _numbers(spec["allocation"], f"{args.firm}: key 'allocation'",
@@ -643,11 +669,9 @@ def _cmd_equilibrium(args) -> dict:
     problem = _optimize.OptimizationProblem(rewards=rewards, limits=limits, bounds=box)
     sol = _optimize.solve_portfolio(problem, tol=args.tol, max_iter=args.max_iter)
     holdings = np.split(sol.h, np.cumsum([d.rewards.size for d in desks])[:-1])
-    prices, residual, risks = _sharing.equilibrium_prices(firm, holdings,
-                                                          binding_tol=1e-3)
+    prices, residual, risks = _sharing.equilibrium_prices(firm, holdings)
     trades = _sharing.limit_trades(firm, holdings)
-    report = _sharing.verify_equilibrium(firm, holdings, trades, prices,
-                                         binding_tol=1e-3)
+    report = _sharing.verify_equilibrium(firm, holdings, trades, prices)
     return {"seed": args.seed, "objective": sol.objective,
             "holdings": {d.name: h for d, h in zip(desks, holdings)},
             "prices": prices, "reward_residual": residual,

@@ -45,7 +45,6 @@ class WeightingMeasure:
     weights: np.ndarray = field(default=None)  # mixture: atom weights
     a: float = field(default=None)  # beta: first parameter (> -1); beta(a, a) keeps it
     b: float = field(default=None)  # beta: second parameter in (-1, a]
-    label: str = field(default="")
 
     @property
     def orders(self):
@@ -141,24 +140,6 @@ class WeightingMeasure:
         out = np.array([tail_integral(v) for v in flat])
         return out.reshape(np.shape(x))
 
-    def spec_string(self) -> str:
-        return self.label or self._default_label()
-
-    def _default_label(self) -> str:
-        if self.kind == "beta":
-            return f"beta:{_fmt(self.a)},{_fmt(self.b)}"
-        if self.levels.size == 1 and self.weights[0] == 1.0:
-            return f"tail:{_fmt(self.levels[0])}"
-        parts = ",".join(f"{_fmt(w)}@{_fmt(l)}" for l, w in zip(self.levels, self.weights))
-        return f"mix:{parts}"
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"WeightingMeasure({self.spec_string()})"
-
-
-def _fmt(v: float) -> str:
-    return repr(int(v)) if float(v).is_integer() else repr(float(v))
-
 
 def _as_prob_array(x, lo_open: bool):
     arr = np.asarray(x, dtype=float)
@@ -173,10 +154,10 @@ def _as_prob_array(x, lo_open: bool):
 
 def tail(level: float) -> WeightingMeasure:
     """Expected shortfall at the given level in (0, 1] (level 1 is -mean)."""
-    return mixture([(level, 1.0)], label=f"tail:{_fmt(level)}")
+    return mixture([(level, 1.0)])
 
 
-def mixture(atoms, label: str = "") -> WeightingMeasure:
+def mixture(atoms) -> WeightingMeasure:
     """Finite mixture of tail atoms, given as (level, weight) pairs."""
     atoms = list(atoms)
     if not atoms:
@@ -199,10 +180,10 @@ def mixture(atoms, label: str = "") -> WeightingMeasure:
         levels, weights = uniq, merged
     levels.flags.writeable = False
     weights.flags.writeable = False
-    return WeightingMeasure(kind="mixture", levels=levels, weights=weights, label=label)
+    return WeightingMeasure(kind="mixture", levels=levels, weights=weights)
 
 
-def beta(a: float, b: float, label: str = "") -> WeightingMeasure:
+def beta(a: float, b: float) -> WeightingMeasure:
     """Beta-family measure; averages the b smallest of a draws for integers.
 
     b == a is accepted and maps to the point mass at level 1 (plain -mean),
@@ -215,14 +196,13 @@ def beta(a: float, b: float, label: str = "") -> WeightingMeasure:
     if not (-1.0 < b <= a):
         raise ValueError(f"second parameter must lie in (-1, {a}], got {b}")
     if b == a:
-        return replace(mixture([(1.0, 1.0)], label=label or f"beta:{_fmt(a)},{_fmt(b)}"),
-                       a=a, b=b)
-    return WeightingMeasure(kind="beta", a=a, b=b, label=label)
+        return replace(mixture([(1.0, 1.0)]), a=a, b=b)
+    return WeightingMeasure(kind="beta", a=a, b=b)
 
 
-def alpha(order: float, label: str = "") -> WeightingMeasure:
+def alpha(order: float) -> WeightingMeasure:
     """Shorthand for beta(order, 1): minus the expected minimum of `order` draws."""
-    return beta(order, 1.0, label=label or f"alpha:{_fmt(order)}")
+    return beta(order, 1.0)
 
 
 def parse_measure(text: str) -> WeightingMeasure:
@@ -235,16 +215,16 @@ def parse_measure(text: str) -> WeightingMeasure:
         if head == "tail":
             return tail(float(rest))
         if head == "alpha":
-            return alpha(float(rest), label=text)
+            return alpha(float(rest))
         if head == "beta":
             a_s, b_s = rest.split(",")
-            return beta(float(a_s), float(b_s), label=text)
+            return beta(float(a_s), float(b_s))
         if head == "mix":
             atoms = []
             for part in rest.split(","):
                 w_s, l_s = part.split("@")
                 atoms.append((float(l_s), float(w_s)))
-            return mixture(atoms, label=text)
+            return mixture(atoms)
     except ValueError as exc:
         raise ValueError(f"malformed measure spec {text!r}: {exc}") from None
     raise ValueError(f"unknown measure kind {head!r} in {text!r}")
@@ -305,6 +285,6 @@ def gaussian_multiplier(measure: WeightingMeasure) -> float:
                                       limit=400, epsrel=1e-9, epsabs=0.0)
     if not np.isfinite(val) or (abs(err) > 1e-8 * max(abs(val), 1.0)):
         raise DivergenceError(
-            f"Gaussian multiplier quadrature did not converge for {measure.spec_string()} "
-            f"(value={val!r}, error={err!r})")
+            "Gaussian multiplier quadrature did not converge for "
+            f"beta:{measure.a!r},{measure.b!r} (value={val!r}, error={err!r})")
     return float(val)

@@ -2,8 +2,8 @@
 
 The risk a position carries through a market factor is the risk of its
 conditional mean given that factor. Everything here therefore reduces to two
-steps: estimate conditional means (nonparametrically by default, analytically
-when the caller knows them), then reuse the exact scenario evaluators on the
+steps: estimate conditional means (by kernel or nearest-neighbour regression,
+or analytically when the caller knows them), then reuse the exact scenario evaluators on the
 fitted values. Gaussian closed forms are provided for validation and for
 covariance-based workflows.
 """
@@ -194,14 +194,13 @@ class KernelRegressor(_Targets):
         return (wgt * np.take(self._x, idx, axis=1)).sum(axis=2) / wgt.sum(axis=1)
 
 
-def fit_conditional_mean(y, x, method: str = "auto", *, bandwidth=None,
+def fit_conditional_mean(y, x, method: str, *, bandwidth=None,
                          k: Optional[int] = None, fn: Optional[Callable] = None):
     """Fit a conditional-mean regressor of x on the factor sample y.
 
     x is one target (T,) or n targets (T, n); one fit serves them all, and
-    predict returns values in the same layout. method: "kernel", "knn",
-    "analytic", or "auto" (kernel up to 3 factor dimensions, knn above).
-    Data-driven methods need at least two samples.
+    predict returns values in the same layout. method: "kernel", "knn" or
+    "analytic". Data-driven methods need at least two samples.
     """
     y = _as_factor_matrix(y)
     x = np.asarray(x, dtype=float)
@@ -213,8 +212,6 @@ def fit_conditional_mean(y, x, method: str = "auto", *, bandwidth=None,
         return AnalyticRegressor(fn)
     if y.shape[0] < 2:
         raise ValueError("data-driven regression needs at least 2 samples")
-    if method == "auto":
-        method = "kernel" if y.shape[1] <= 3 else "knn"
     if method == "kernel":
         return KernelRegressor(y, x, bandwidth=bandwidth)
     if method == "knn":
@@ -225,14 +222,14 @@ def fit_conditional_mean(y, x, method: str = "auto", *, bandwidth=None,
     raise ValueError(f"unknown regression method {method!r}")
 
 
-def conditional_means(series, y, method: str = "auto", **regressor_kwargs) -> np.ndarray:
+def conditional_means(series, y, method: str, **regressor_kwargs) -> np.ndarray:
     """Fitted conditional means on the factor sample y of one series (T,) or
     of n series (T, n), from one fit."""
     y = _as_factor_matrix(y)
     return fit_conditional_mean(y, series, method, **regressor_kwargs).predict(y)
 
 
-def factor_risk(series, y, measure: WeightingMeasure, method: str = "auto",
+def factor_risk(series, y, measure: WeightingMeasure, method: str,
                 **regressor_kwargs) -> float:
     """Risk carried by the position through the factor: the risk of the fitted
     conditional mean, each factor sample weighted equally (the regressors fit
@@ -242,7 +239,7 @@ def factor_risk(series, y, measure: WeightingMeasure, method: str = "auto",
 
 
 def factor_contribution(x_series, w_series, y, measure: WeightingMeasure,
-                        method: str = "auto", fn=None, fn_w=None,
+                        method: str, fn=None, fn_w=None,
                         **regressor_kwargs) -> float:
     """Factor-risk contribution of x to w: the contribution between the two
     fitted conditional means (risk-signed), both from one fit, on equally

@@ -25,7 +25,8 @@ from .errors import InfeasibleError
 __all__ = ["Desk", "FirmInstance", "equilibrium_prices", "limit_trades",
            "verify_equilibrium", "EquilibriumReport"]
 
-_BINDING_TOL = 1e-6
+# a limit counts as binding once its risk reaches this fraction short of it
+_BINDING_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,7 @@ def _desk_worst_means(firm: FirmInstance, extremes):
     return [[ew.weights @ d.panel for d in firm.desks] for ew in extremes]
 
 
-def equilibrium_prices(firm: FirmInstance, holdings, binding_tol: float = _BINDING_TOL):
+def equilibrium_prices(firm: FirmInstance, holdings):
     """Equilibrium limit prices at the candidate firm portfolio.
 
     Solves min || rewards + sum_m price_m * worst_mean_m || over nonnegative
@@ -104,7 +105,7 @@ def equilibrium_prices(firm: FirmInstance, holdings, binding_tol: float = _BINDI
     """
     series, extremes = _firm_extremes(firm, holdings)
     risks = np.array([-ew.utility for ew in extremes])
-    active = np.flatnonzero(risks >= firm.limits * (1.0 - binding_tol))
+    active = np.flatnonzero(risks >= firm.limits * (1.0 - _BINDING_TOL))
     e_stack = np.concatenate([d.rewards for d in firm.desks])
     prices = np.zeros(len(firm.measures))
     if active.size and np.any(e_stack != 0.0):
@@ -153,12 +154,8 @@ class EquilibriumReport:
     feasible: bool
     some_binding: bool
     complementary_slackness: bool
-    reward_residual: float
-    desk_gaps: np.ndarray           # per desk: best linearized improvement
-    max_desk_improvement: float
+    max_desk_improvement: float     # over desks: best linearized improvement
     boundary_contact: tuple         # desks whose holdings touch their box
-    risks: np.ndarray
-    prices: np.ndarray
     total_net_reward: float
 
     @property
@@ -167,8 +164,7 @@ class EquilibriumReport:
                 and self.complementary_slackness)
 
 
-def verify_equilibrium(firm: FirmInstance, holdings, trades, prices,
-                       binding_tol: float = _BINDING_TOL) -> EquilibriumReport:
+def verify_equilibrium(firm: FirmInstance, holdings, trades, prices) -> EquilibriumReport:
     """Check the four equilibrium conditions at (holdings, trades, prices).
 
     Desk optimality is checked on the linearized desk problem: with the
@@ -185,7 +181,7 @@ def verify_equilibrium(firm: FirmInstance, holdings, trades, prices,
     lim = firm.limits
     zero_sum = bool(np.all(np.abs(trades.sum(axis=0)) <= 1e-9 * np.maximum(1.0, lim)))
     feasible = bool(np.all(risks <= lim * (1.0 + 1e-9)))
-    binding_mask = risks >= lim * (1.0 - binding_tol)
+    binding_mask = risks >= lim * (1.0 - _BINDING_TOL)
     some_binding = bool(binding_mask.any())
     comp_slack = bool(np.all(prices[~binding_mask] <= 1e-9))
 
@@ -193,12 +189,10 @@ def verify_equilibrium(firm: FirmInstance, holdings, trades, prices,
     n = len(firm.desks)
     gaps = np.zeros(n)
     boundary = []
-    residual = 0.0
     for i, desk in enumerate(firm.desks):
         grad = desk.rewards.copy()
         for m in range(len(firm.measures)):
             grad += prices[m] * means[m][i]
-        residual = max(residual, float(np.max(np.abs(grad))) if grad.size else 0.0)
         h = np.asarray(holdings[i], dtype=float)
         if desk.bounds is None:
             gaps[i] = float(np.linalg.norm(grad))
@@ -213,7 +207,6 @@ def verify_equilibrium(firm: FirmInstance, holdings, trades, prices,
                     - float(np.dot(trades[i], prices)) for i in range(n))
     return EquilibriumReport(
         trades_zero_sum=zero_sum, feasible=feasible, some_binding=some_binding,
-        complementary_slackness=comp_slack, reward_residual=residual,
-        desk_gaps=gaps, max_desk_improvement=float(gaps.max()) if n else 0.0,
-        boundary_contact=tuple(boundary), risks=risks, prices=prices,
-        total_net_reward=float(net))
+        complementary_slackness=comp_slack,
+        max_desk_improvement=float(gaps.max()) if n else 0.0,
+        boundary_contact=tuple(boundary), total_net_reward=float(net))

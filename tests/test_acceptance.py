@@ -22,7 +22,7 @@ from crm import scenario as S
 from crm import sharing as SH
 from crm.contribution import capital_allocation, tail_correlation
 
-from conftest import gauss_grid_panel
+from testkit import gauss_grid_panel
 from geometric_oracle import geometric_solution
 
 

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import emit_reference
+from testkit import emit_reference
 from crm import cli
 from crm import distortion as D
 from crm import factor as F
@@ -304,6 +304,74 @@ class TestAnnounceContrib:
         if code:
             assert (f"{trade} runs from '{end}' back to '{start}', but {ann} announces "
                     "draws on the dates from '2025-03-01' back to '2025-01-01'") in err
+
+    @pytest.fixture()
+    def student_t(self, tmp_path):
+        """A 300-row heavy-tailed firm panel, a trade panel on its dates, and
+        the shared flags of a standardized scaling announce."""
+        rng = np.random.default_rng(3)
+        firm, trade = tmp_path / "firm.csv", tmp_path / "trade.csv"
+        write_panel(firm, ["A", "B"], rng.standard_t(3, size=(300, 2)).round(6).tolist())
+        write_panel(trade, ["X"], rng.standard_t(3, size=(300, 1)).round(6).tolist())
+        flags = ["--measure", "beta:20,4", "--scheme", "scaling:1.0", "--trials", 200,
+                 "--seed", 3]
+        return firm, trade, flags
+
+    def test_announce_file_fixes_standardize(self, tmp_path, student_t, capsys):
+        firm, trade, flags = student_t
+        ann = tmp_path / "a.json"
+        code, rep = run(capsys, ["announce", "--input", firm, "--out", ann, "--standardize"]
+                        + flags)
+        assert code == 0 and rep["standardize"] is True
+        assert json.loads(ann.read_text())["standardize"] is True
+        code, want = run(capsys, ["contrib", "--input", trade, "--firm", firm, "--standardize"]
+                         + flags)
+        assert code == 0
+        for extra in ([], ["--standardize"]):
+            code, got = run(capsys, ["contrib", "--input", trade, "--announced", ann,
+                                     "--seed", 3] + extra)
+            assert code == 0
+            assert (got["contribution"], got["std_error"]) == \
+                (want["contribution"], want["std_error"])
+
+    def test_standardize_cannot_be_added_to_an_announce(self, tmp_path, student_t, capsys):
+        firm, trade, flags = student_t
+        ann = tmp_path / "a.json"
+        code, rep = run(capsys, ["announce", "--input", firm, "--out", ann] + flags)
+        assert code == 0 and rep["standardize"] is False
+        code = cli.run_command(["contrib", "--input", str(trade), "--announced", str(ann),
+                                "--seed", "3", "--standardize"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert f"{ann} was announced without --standardize" in captured.err
+
+    @pytest.mark.parametrize("standardize", [False, True])
+    def test_announce_file_without_the_key_takes_the_flag(self, tmp_path, student_t, capsys,
+                                                          standardize):
+        # files written before announce recorded --standardize
+        firm, trade, flags = student_t
+        extra = ["--standardize"] if standardize else []
+        ann = tmp_path / "a.json"
+        assert run(capsys, ["announce", "--input", firm, "--out", ann] + flags + extra)[0] == 0
+        payload = json.loads(ann.read_text())
+        del payload["standardize"]
+        ann.write_text(json.dumps(payload))
+        code, want = run(capsys, ["contrib", "--input", trade, "--firm", firm] + flags + extra)
+        assert code == 0
+        code, got = run(capsys, ["contrib", "--input", trade, "--announced", ann, "--seed", 3]
+                        + extra)
+        assert code == 0 and got["contribution"] == want["contribution"]
+
+    def test_announce_standardize_must_be_a_bool(self, tmp_path, student_t, capsys):
+        firm, trade, flags = student_t
+        ann = tmp_path / "a.json"
+        assert run(capsys, ["announce", "--input", firm, "--out", ann] + flags)[0] == 0
+        ann.write_text(ann.read_text().replace('"standardize": false', '"standardize": 1'))
+        code = cli.run_command(["contrib", "--input", str(trade), "--announced", str(ann),
+                                "--seed", "3"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert f"{ann}: key 'standardize' must be true or false, got 1" in captured.err
 
     def test_announce_file_in_the_indented_layout_still_prices(self, tmp_path, panel_csv,
                                                                trade_csv, capsys):
@@ -678,6 +746,20 @@ class TestOptimizeCommand:
         assert code == 1
         assert str(lpath) in err and "entry 1" in err and repr(key) in err
 
+    def test_unknown_limit_key_names_file_entry_and_key(self, tmp_path, capsys):
+        ppath = tmp_path / "panel.csv"
+        write_panel(ppath, ["A"], [[1.0], [-1.0], [0.5]])
+        rpath = tmp_path / "rewards.csv"
+        rpath.write_text("asset,reward\nA,1.0\n")
+        lpath = tmp_path / "limits.json"
+        lpath.write_text(json.dumps([{"measure": "tail:0.5", "limit": 2.0, "label": "L"},
+                                     {"measure": "tail:0.5", "limit": 1.0, "limt": 1.0}]))
+        code = cli.run_command(["optimize", "--panel", str(ppath), "--rewards", str(rpath),
+                                "--limits", str(lpath), "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert f"{lpath}: entry 1: unknown key 'limt'" in captured.err
+
     def test_factor_mapped_limit(self, tmp_path, capsys):
         rng = np.random.default_rng(10)
         t = 1500
@@ -994,6 +1076,34 @@ class TestEquilibriumCommand:
                                        if k not in ("command", "timings")}, sort_keys=True))
         assert reports[0] == reports[1]
 
+    @pytest.mark.parametrize("path, key, where", [
+        ((), "allocations", ""),
+        (("desks", 1), "reward", ": desks[1]"),
+        (("limits", 0), "factor", ": limits[0]"),  # equilibrium maps no limit to a factor
+    ])
+    def test_unknown_key_names_file_entry_and_key(self, tmp_path, capsys, path, key, where):
+        fpath = self._two_desks(tmp_path)
+        firm = json.loads(fpath.read_text())
+        entry = firm
+        for step in path:
+            entry = entry[step]
+        entry[key] = "F1"
+        fpath.write_text(json.dumps(firm))
+        code = cli.run_command(["equilibrium", "--firm", str(fpath), "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert f"{fpath}{where}: unknown key {key!r}" in captured.err
+
+    def test_empty_limit_list_rejected(self, tmp_path, capsys):
+        fpath = self._two_desks(tmp_path)
+        firm = json.loads(fpath.read_text())
+        firm["limits"] = []
+        fpath.write_text(json.dumps(firm))
+        code = cli.run_command(["equilibrium", "--firm", str(fpath), "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert f"{fpath}: expected a nonempty JSON array of limits" in captured.err
+
     def test_empty_desk_list_rejected(self, tmp_path, capsys):
         fpath = tmp_path / "firm.json"
         fpath.write_text(json.dumps({"desks": [],
@@ -1142,7 +1252,8 @@ class TestScenarioWeights:
                                 "--trials", "50", "--seed", "1"])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
-        assert "panel probability weights are not supported with --trials" in captured.err
+        assert f"{firm}: panel probability weights are not supported with --trials" \
+            in captured.err
 
     def test_zero_weight_rejected_as_weights_with_trials(self, tmp_path, capsys):
         firm = tmp_path / "firm.csv"
@@ -1153,7 +1264,18 @@ class TestScenarioWeights:
                                 "--measure", "alpha:2", "--trials", "50", "--seed", "1"])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
-        assert "panel probability weights are not supported with --trials" in captured.err
+        assert f"{firm}: panel probability weights are not supported with --trials" \
+            in captured.err
+
+    def test_estimate_rejects_weights_with_trials(self, tmp_path, capsys):
+        firm = tmp_path / "firm.csv"
+        firm.write_text(self.FIRM)
+        code = cli.run_command(["estimate", "--input", str(firm), "--measure", "alpha:2",
+                                "--trials", "50", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert f"{firm}: panel probability weights are not supported with --trials" \
+            in captured.err
 
     def test_announce_rejects_weights(self, tmp_path, capsys):
         firm = tmp_path / "firm.csv"
@@ -1163,7 +1285,8 @@ class TestScenarioWeights:
                                 "--trials", "50", "--seed", "1", "--out", str(out)])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == "" and not out.exists()
-        assert "panel probability weights are not supported with --trials" in captured.err
+        assert f"{firm}: panel probability weights are not supported with --trials" \
+            in captured.err
 
     def test_contrib_announced_rejects_weights(self, tmp_path, capsys):
         firm = tmp_path / "firm.csv"
@@ -1177,7 +1300,8 @@ class TestScenarioWeights:
                                 "--announced", str(ann), "--seed", "1"])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
-        assert "panel probability weights are not supported with --trials" in captured.err
+        assert (f"{tmp_path / 'x.csv'}: panel probability weights are not supported "
+                "with --trials") in captured.err
 
     def test_timechange_rejects_weights(self, tmp_path, capsys):
         # its periods sum windows of rows, which the row weights do not describe

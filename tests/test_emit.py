@@ -3,7 +3,7 @@
 `cli._emit` writes the indent-2, sorted-key layout itself and hands every
 scalar to json. Its text must be what json.dumps writes, except that each
 innermost row of an integer ndarray sits on one line in json's compact form
-(`conftest.emit_reference`); a non-finite float must raise json's ValueError
+(`testkit.emit_reference`); a non-finite float must raise json's ValueError
 with json's message.
 """
 
@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import emit_reference
+from testkit import emit_reference
 from crm import cli
 
 

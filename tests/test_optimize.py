@@ -9,7 +9,7 @@ from crm import distortion as D
 from crm import optimize as O
 from crm.errors import UnboundedError
 
-from conftest import gauss_grid_panel
+from testkit import gauss_grid_panel
 from geometric_oracle import geometric_solution
 
 

@@ -10,7 +10,7 @@ from crm import scenario as S
 from crm import sharing as SH
 from crm.errors import InfeasibleError
 
-from conftest import gauss_grid_panel
+from testkit import gauss_grid_panel
 
 GM50 = D.gaussian_multiplier(D.tail(0.5))
 
