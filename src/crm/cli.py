@@ -137,6 +137,22 @@ def _require(entry, key: str, where: str):
     return entry[key]
 
 
+def _name(value, key: str, where: str) -> str:
+    """value, read from key `key` at `where`, as a nonempty string."""
+    if not isinstance(value, str) or not value:
+        raise DataError(f"{where}: key {key!r} must be a nonempty string, got {value!r}")
+    return value
+
+
+def _claim(owners: dict, name: str, key: str, where: str, entry: str) -> None:
+    """Record `entry` (read at `where`) as the owner of `name` in owners, or a
+    DataError if an earlier entry owns it."""
+    if name in owners:
+        raise DataError(f"{where}: key {key!r}: {name!r} is already the {key} of "
+                        f"{owners[name]}; each {key} must be unique")
+    owners[name] = entry
+
+
 def _only_keys(entry: dict, keys, where: str) -> None:
     """A DataError naming the first key of entry outside keys: nothing reads it."""
     for key in entry:
@@ -242,9 +258,9 @@ def _draw_values(eff, scheme, seed, trials, draws_per_trial):
     return draws, _sampling.materialize(draws, eff)
 
 
-def _ingest_unweighted(path, use: str, returns: bool = False) -> JointPanel:
+def _ingest_unweighted(path, use: str) -> JointPanel:
     """ingest_panel for a file whose prob column `use` would ignore."""
-    panel = ingest_panel(path, returns=returns)
+    panel = ingest_panel(path)
     if panel.probs is not None:
         raise DataError(_UNUSED_PROBS.format(path=path, use=use))
     return panel
@@ -260,12 +276,12 @@ def _probs_on(panel: JointPanel, rows, path):
     return w / w.sum()
 
 
-def _load_aligned(path_a, path_b, columns_a, columns_b, returns: bool, trials: bool = False):
+def _load_aligned(path_a, path_b, columns_a, columns_b, trials: bool = False):
     """Two panel series on their common dates, most recent first, and the prob
     weights of whichever panel has them (if both do, they must agree). With
     `trials`, prob columns are rejected."""
-    pa = ingest_panel(path_a, returns=returns)
-    pb = ingest_panel(path_b, returns=returns)
+    pa = ingest_panel(path_a)
+    pb = ingest_panel(path_b)
     if trials:
         for path, panel in ((path_a, pa), (path_b, pb)):
             if panel.probs is not None:
@@ -298,7 +314,7 @@ def _cover(dates, source, panel: JointPanel, path) -> np.ndarray:
 def _cmd_estimate(args) -> dict:
     if args.trials:
         _check_trials(args.trials)
-    panel = ingest_panel(args.input, returns=args.returns)
+    panel = ingest_panel(args.input)
     series = panel.series(_columns_arg(args.columns))
     measure = _distortion.parse_measure(args.measure)
     scheme = _scheme_arg(args.scheme, args.standardize)
@@ -353,7 +369,7 @@ def _write_plot_data(prefix: str, dist: ScenarioDistribution) -> None:
 
 def _cmd_announce(args) -> dict:
     _check_trials(args.trials)
-    panel = ingest_panel(args.input, returns=args.returns)
+    panel = ingest_panel(args.input)
     if panel.probs is not None:
         raise DataError(_NO_TRIAL_PROBS.format(path=args.input))
     series = panel.series(_columns_arg(args.columns))
@@ -404,7 +420,7 @@ def _contrib_announced(args) -> dict:
     def ints(key, shape, lo, hi=None):
         return _ints(_require(ann, key, path), f"{path}: key {key!r}", shape, lo, hi)
 
-    panel = ingest_panel(args.input, returns=args.returns)
+    panel = ingest_panel(args.input)
     if panel.probs is not None:
         raise DataError(_NO_TRIAL_PROBS.format(path=args.input))
     # announced indices are positions in a most-recent-first series, so the
@@ -454,7 +470,7 @@ def _contrib_inprocess(args) -> dict:
         raise DataError("Monte Carlo contribution needs alpha:A or beta:A,B")
     x_series, w_series, probs = _load_aligned(
         args.input, args.firm, _columns_arg(args.columns),
-        _columns_arg(args.firm_columns), args.returns, trials=bool(args.trials))
+        _columns_arg(args.firm_columns), trials=bool(args.trials))
     if args.trials:
         a, b = measure.orders
         scheme_text = args.scheme or _FULL_HISTORY
@@ -488,7 +504,7 @@ def _parse_regression(text: str):
 
 
 def _cmd_factor(args) -> dict:
-    panel = _ingest_unweighted(args.input, "factor", args.returns)
+    panel = _ingest_unweighted(args.input, "factor")
     factors = _ingest_unweighted(args.factors, "factor")
     pi, fi = align(panel.dates, factors.dates)
     if pi.size == 0:
@@ -499,7 +515,7 @@ def _cmd_factor(args) -> dict:
     method = reg.pop("method")
     targets = [w_series]
     if args.trade:
-        trade = _ingest_unweighted(args.trade, "factor", args.returns)
+        trade = _ingest_unweighted(args.trade, "factor")
         ti = _cover([panel.dates[i] for i in pi], args.input, trade, args.trade)
         targets.append(trade.series(_columns_arg(args.trade_columns))[ti])
 
@@ -524,17 +540,18 @@ def _cmd_factor(args) -> dict:
 
 def _cmd_optimize(args) -> dict:
     _check_solver(args)
-    panel = ingest_panel(args.panel, returns=args.returns)
+    panel = ingest_panel(args.panel)
     rewards = _read_rewards(args.rewards, panel)
     with open(args.limits) as fh:
         spec = json.load(fh)
     factors = None
     reg = _parse_regression(args.regression)
     method = reg.pop("method")
-    limits = []
-    for where, entry, text, measure, limit in _read_limits(
-            spec, args.limits, "entry {}", ("measure", "limit", "label", "factor")):
-        label = entry.get("label") or f"{text}<= {entry['limit']}"
+    limits, labels = [], {}  # label -> the limit entry that has it
+    for i, (where, entry, text, measure, limit) in enumerate(_read_limits(
+            spec, args.limits, "entry {}", ("measure", "limit", "label", "factor"))):
+        label = (_name(entry["label"], "label", where) if "label" in entry
+                 else f"{text}<= {entry['limit']}")
         if entry.get("factor"):
             if factors is None:
                 if not args.factors:
@@ -550,10 +567,11 @@ def _cmd_optimize(args) -> dict:
             label += f" | {entry['factor']}"
         else:
             eff_panel = panel.pnl
+        _claim(labels, label, "label", where, f"entry {i}")
         limits.append(_optimize.RiskLimit(measure, limit, eff_panel, label))
     problem = _optimize.OptimizationProblem(rewards=rewards, limits=limits,
                                             probs=panel.probs)
-    sol = _optimize.solve_portfolio(problem, tol=args.tol, max_iter=args.max_iter)
+    sol = _optimize.solve_portfolio(problem, max_iter=args.max_iter)
     return {"seed": args.seed,
             "holdings": {a: h for a, h in zip(panel.assets, sol.h)},
             "objective": sol.objective,
@@ -577,7 +595,7 @@ def _read_rewards(path: str, panel: JointPanel) -> np.ndarray:
 
 
 def _cmd_allocate(args) -> dict:
-    panel = ingest_panel(args.input, returns=args.returns)
+    panel = ingest_panel(args.input)
     measure = _distortion.parse_measure(args.measure)
     components = [panel.pnl[:, j] for j in range(panel.pnl.shape[1])]
     allocs, residual = capital_allocation(components, panel.probs, measure)
@@ -591,7 +609,7 @@ def _cmd_kappa(args) -> dict:
     measure = _distortion.parse_measure(args.measure)
     x_series, w_series, probs = _load_aligned(
         args.input, args.firm, _columns_arg(args.columns),
-        _columns_arg(args.firm_columns), args.returns)
+        _columns_arg(args.firm_columns))
     value = tail_correlation(x_series, w_series, probs, measure)
     return {"measure": args.measure, "tail_correlation": value}
 
@@ -608,14 +626,22 @@ def _cmd_equilibrium(args) -> dict:
         raise DataError(f"{args.firm}: expected a nonempty JSON array of desks")
     paths, panels, picks, specs = [], [], [], []
     parsed = {}  # path -> panel: desks often share one file
+    names = {}  # desk name -> the desk entry that has it
     for i, entry in enumerate(desk_spec):
         where = f"{args.firm}: desks[{i}]"
-        paths.append(os.path.join(base, _require(entry, "panel", where)))
+        panel_file = _name(_require(entry, "panel", where), "panel", where)
+        paths.append(os.path.join(base, panel_file))
         _only_keys(entry, ("name", "panel", "columns", "rewards", "bounds"), where)
+        name = _name(entry["name"], "name", where) if "name" in entry else f"desk{i}"
+        _claim(names, name, "name", where, f"desks[{i}]")
+        cols = entry.get("columns")
+        if "columns" in entry and not (isinstance(cols, list) and cols
+                                       and all(isinstance(c, str) for c in cols)):
+            raise DataError(f"{where}: key 'columns' must be a nonempty list of "
+                            f"column names, got {cols!r}")
         if paths[-1] not in parsed:
             parsed[paths[-1]] = _ingest_unweighted(paths[-1], "equilibrium")
         p = parsed[paths[-1]]
-        cols = entry.get("columns")
         panels.append(p)
         picks.append(slice(None) if cols is None else [p.column_index(c) for c in cols])
         n_cols = len(p.assets) if cols is None else len(cols)
@@ -630,8 +656,7 @@ def _cmd_equilibrium(args) -> dict:
             "rewards": _numbers(_require(entry, "rewards", where), f"{where}: key 'rewards'",
                                 "one finite number per column",
                                 lambda a: a.shape == (n_cols,) and np.all(np.isfinite(a))),
-            "bounds": bounds,
-            "name": entry.get("name", f"desk{i}")})
+            "bounds": bounds, "name": name})
     # desks meet on the dates they all hold, in desk 0's order
     common, rows = panels[0].dates, [np.arange(panels[0].periods)]
     for k in range(1, len(panels)):
@@ -667,7 +692,7 @@ def _cmd_equilibrium(args) -> dict:
     box = np.vstack([[(-np.inf, np.inf)] * d.rewards.size if d.bounds is None else d.bounds
                      for d in desks])
     problem = _optimize.OptimizationProblem(rewards=rewards, limits=limits, bounds=box)
-    sol = _optimize.solve_portfolio(problem, tol=args.tol, max_iter=args.max_iter)
+    sol = _optimize.solve_portfolio(problem, max_iter=args.max_iter)
     holdings = np.split(sol.h, np.cumsum([d.rewards.size for d in desks])[:-1])
     prices, residual, risks = _sharing.equilibrium_prices(firm, holdings)
     trades = _sharing.limit_trades(firm, holdings)
@@ -696,10 +721,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="crm", description="Coherent risk measurement toolkit")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def common(p, seed=True, returns=True, standardize=False):
-        if returns:
-            p.add_argument("--returns", action="store_true",
-                           help="input cells are price levels; difference them")
+    def common(p, seed=True, standardize=False):
         if standardize:
             p.add_argument("--standardize", action="store_true",
                            help="standardize increments by rolling volatility for "
@@ -758,7 +780,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limits", required=True)
     p.add_argument("--factors")
     p.add_argument("--regression", default="kernel")
-    p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--max-iter", type=int, default=600)
     p.add_argument("--restarts", type=int, default=10)
     common(p)
@@ -781,10 +802,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("equilibrium", help="risk-limit trading equilibrium")
     p.add_argument("--firm", required=True, help="firm description JSON")
-    p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--max-iter", type=int, default=600)
     p.add_argument("--restarts", type=int, default=10)
-    common(p, returns=False)
+    common(p)
     p.set_defaults(fn=_cmd_equilibrium)
 
     return parser

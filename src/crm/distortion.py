@@ -1,14 +1,12 @@
 """Weighting measures on (0,1] and their spectral machinery.
 
 A weighting measure mixes tail risk levels into a coherent, law-invariant,
-comonotone-additive risk measure. Three functions drive everything downstream:
+comonotone-additive risk measure. Two functions drive everything downstream:
 
 * ``spectrum(x)``   -- the risk spectrum: mass of ``1/level`` at or above x;
   nonincreasing, left-continuous, integrates to one.
 * ``distortion(x)`` -- its running integral, a concave distortion of the unit
   interval with ``distortion(0) = 0`` and ``distortion(1) = 1``.
-* ``dual_bound(x)`` -- the concave conjugate ``sup_y (distortion(y) - x*y)``,
-  bounding ``E (Z - x)^+`` over admissible scenario densities.
 
 Two parametrisations are supported: finite mixtures of tail atoms (a single
 atom is plain expected shortfall at that level) and the Beta(a, b) family with
@@ -77,38 +75,6 @@ class WeightingMeasure:
                 + x_arr * self._beta_spectrum(np.maximum(x_arr, 1e-300))
             out = np.where(x_arr == 0.0, 0.0, out)
         return float(out[()]) if scalar else out
-
-    def dual_bound(self, x: float) -> float:
-        """sup over y in [0,1] of distortion(y) - x*y, for x >= 0."""
-        if not np.isfinite(x) or x < 0.0:
-            raise ValueError(f"dual_bound argument must be finite and >= 0, got {x}")
-        if self.kind == "mixture":
-            cand = np.concatenate(([0.0], self.levels, [1.0]))
-            return float(np.max(self.distortion(cand) - x * cand))
-        if x == 0.0:
-            return 1.0
-        if self.b > 0 and x >= self.a / self.b:
-            return 0.0
-        # spectrum is continuous and strictly decreasing: bisect spectrum(y) = x
-        lo, hi = 1e-300, 1.0
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            if self._beta_spectrum(np.asarray(mid)) > x:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-12:
-                break
-        y = 0.5 * (lo + hi)
-        return max(float(self.distortion(y) - x * y), 0.0)
-
-    def level_inverse_mass(self) -> float:
-        """Integral of 1/level against the measure (may be inf)."""
-        if self.kind == "mixture":
-            return float(np.sum(self.weights / self.levels))
-        if self.b > 0:
-            return self.a / self.b
-        return float("inf")
 
     # -- helpers ------------------------------------------------------------
 

@@ -3,8 +3,7 @@
 CSV layout: header ``date,<asset1>,...``; one row per period; an optional
 ``prob`` column carries per-row scenario weights. Panels are stored most
 recent first regardless of file order. ISO dates sort as dates, anything else
-sorts lexicographically. With ``returns=True`` the cells are price levels and
-are differenced into increments (one row shorter).
+sorts lexicographically.
 """
 
 from __future__ import annotations
@@ -92,7 +91,7 @@ def align(dates_a, dates_b):
     return np.asarray(ia, dtype=np.int64), np.asarray(ib, dtype=np.int64)
 
 
-def ingest_panel(path, returns: bool = False) -> JointPanel:
+def ingest_panel(path) -> JointPanel:
     """Load a CSV panel; see the module docstring for the expected layout."""
     try:
         with open(path, newline="") as fh:
@@ -144,13 +143,6 @@ def ingest_panel(path, returns: bool = False) -> JointPanel:
         probs = mat[:, prob_idx]
         mat = np.delete(mat, prob_idx, axis=1)
         names = [n for n in names if n != _PROB_COLUMN]
-    if returns:
-        if mat.shape[0] < 2:
-            raise DataError(f"{path}: need at least 2 rows of levels to difference")
-        mat = mat[:-1] - mat[1:]
-        dates = dates[:-1]
-        if probs is not None:
-            probs = probs[:-1]
     if probs is not None:
         if np.any(probs < 0.0):
             raise DataError(f"{path}: negative probability weights")

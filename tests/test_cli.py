@@ -3,7 +3,9 @@
 import csv
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 
 import numpy as np
@@ -33,6 +35,17 @@ def run(capsys, argv):
     code = cli.run_command([str(a) for a in argv])
     out = capsys.readouterr().out
     return code, (json.loads(out) if out else None)
+
+
+def run_child(argv, cwd):
+    """Exit code and stderr of `python -m crm.cli argv` in a fresh interpreter,
+    so that an uncaught exception shows as the traceback a user would see."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "crm.cli"] + [str(a) for a in argv],
+                          cwd=cwd, env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stdout == ""
+    return proc.returncode, proc.stderr
 
 
 def count_calls(monkeypatch, module, name):
@@ -91,14 +104,6 @@ class TestIngest:
         path.write_text("date,A\n2025-01-01,1.0\n2025-01-01,2.0\n")
         with pytest.raises(DataError, match="duplicate"):
             ingest_panel(path)
-
-    def test_returns_flag_differences_levels(self, tmp_path):
-        path = tmp_path / "t.csv"
-        write_panel(path, ["A"], [[100.0], [103.0], [101.0]])
-        p = ingest_panel(path, returns=True)
-        assert p.periods == 2
-        # most recent first: 101 - 103, then 103 - 100
-        assert p.pnl[:, 0].tolist() == [-2.0, 3.0]
 
     def test_prob_column(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -901,6 +906,25 @@ class TestOptimizeCommand:
         assert code == 1 and captured.out == ""
         assert f"{lpath}: entry 0: {why}" in captured.err
 
+    @pytest.mark.parametrize("limits, why", [
+        ([{"label": ["x"]}], "key 'label' must be a nonempty string, got ['x']"),
+        ([{"label": 7}], "key 'label' must be a nonempty string, got 7"),
+        ([{"label": ""}], "key 'label' must be a nonempty string, got ''"),
+        ([{"label": "a"}, {"label": "a"}],
+         "key 'label': 'a' is already the label of entry 1"),
+        ([{}, {}], "key 'label': 'tail:0.5<= 1.0' is already the label of entry 1"),
+        ([{"label": "tail:0.5<= 1.0 | Y"}, {"factor": "Y"}],
+         "key 'label': 'tail:0.5<= 1.0 | Y' is already the label of entry 1"),
+    ], ids=["list", "number", "empty", "given-twice", "generated-twice", "factor-suffix"])
+    def test_bad_or_repeated_label_names_file_entry_and_key(self, tmp_path, limits, why):
+        argv = self._inputs(tmp_path)
+        lpath = tmp_path / "limits.json"
+        entries = [{"measure": "tail:0.5", "limit": 1.0, **extra} for extra in limits]
+        lpath.write_text(json.dumps([{"measure": "tail:0.5", "limit": 2.0}] + entries))
+        code, err = run_child(argv, tmp_path)
+        assert code == 1 and "Traceback" not in err
+        assert f"{lpath}: entry {len(entries)}: {why}" in err
+
 
 class TestEquilibriumCommand:
     @pytest.mark.parametrize("path, key", [
@@ -1093,6 +1117,36 @@ class TestEquilibriumCommand:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert f"{fpath}{where}: unknown key {key!r}" in captured.err
+
+    @pytest.mark.parametrize("desks, where, why", [
+        ([{"name": "d1"}, {"name": "d1"}], "desks[1]",
+         "key 'name': 'd1' is already the name of desks[0]"),
+        ([{"name": "desk1"}, {}], "desks[1]",
+         "key 'name': 'desk1' is already the name of desks[0]"),
+        ([{"name": ["x"]}, {}], "desks[0]", "key 'name' must be a nonempty string, got ['x']"),
+        ([{"name": 7}, {}], "desks[0]", "key 'name' must be a nonempty string, got 7"),
+        ([{"name": ""}, {}], "desks[0]", "key 'name' must be a nonempty string, got ''"),
+        ([{}, {"panel": 5}], "desks[1]", "key 'panel' must be a nonempty string, got 5"),
+        ([{}, {"columns": "B"}], "desks[1]",
+         "key 'columns' must be a nonempty list of column names, got 'B'"),
+        ([{}, {"columns": [1]}], "desks[1]",
+         "key 'columns' must be a nonempty list of column names, got [1]"),
+        ([{"columns": []}, {}], "desks[0]",
+         "key 'columns' must be a nonempty list of column names, got []"),
+    ], ids=["given-twice", "generated-twice", "name-list", "name-number", "name-empty",
+            "panel-number", "columns-string", "columns-number", "columns-empty"])
+    def test_bad_or_repeated_desk_names_file_entry_and_key(self, tmp_path, desks, where,
+                                                           why):
+        write_panel(tmp_path / "d.csv", ["A", "B"], [[1.0, 2.0], [-1.0, 0.5]])
+        base = [{"panel": "d.csv", "columns": ["A"], "rewards": [1.0]},
+                {"panel": "d.csv", "columns": ["B"], "rewards": [1.0]}]
+        fpath = tmp_path / "firm.json"
+        fpath.write_text(json.dumps({
+            "desks": [{**b, **d} for b, d in zip(base, desks)],
+            "limits": [{"measure": "tail:0.5", "limit": 1.0}]}))
+        code, err = run_child(["equilibrium", "--firm", fpath, "--seed", "1"], tmp_path)
+        assert code == 1 and "Traceback" not in err
+        assert f"{fpath}: {where}: {why}" in err
 
     def test_empty_limit_list_rejected(self, tmp_path, capsys):
         fpath = self._two_desks(tmp_path)

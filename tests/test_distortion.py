@@ -117,38 +117,6 @@ class TestDistortionFunction:
                 assert S.weighted_var(d, m_hi) >= S.weighted_var(d, m_lo) - 1e-9
 
 
-class TestDualBound:
-    def test_at_zero_is_one(self, measure_zoo):
-        for m in measure_zoo.values():
-            assert m.dual_bound(0.0) == pytest.approx(1.0, abs=1e-10)
-
-    def test_tail_values(self):
-        m = D.tail(0.5)
-        assert m.dual_bound(2.0) == 0.0
-        assert m.dual_bound(1.0) == pytest.approx(0.5)
-
-    def test_vanishes_beyond_density_sup(self, measure_zoo):
-        for m in measure_zoo.values():
-            sup = m.level_inverse_mass()
-            if math.isfinite(sup):
-                assert m.dual_bound(sup + 1e-9) == pytest.approx(0.0, abs=1e-9)
-
-    def test_convex_decreasing(self, measure_zoo):
-        xs = np.linspace(0.0, 3.0, 61)
-        for m in measure_zoo.values():
-            vals = np.array([m.dual_bound(float(x)) for x in xs])
-            assert np.all(np.diff(vals) <= 1e-10)
-            mids = np.array([m.dual_bound(float(x)) for x in (xs[:-2] + xs[2:]) / 2])
-            assert np.all(mids <= (vals[:-2] + vals[2:]) / 2 + 1e-9)
-
-    def test_beta_bisection_matches_grid_sup(self):
-        m = D.beta(7, 2)
-        grid = np.linspace(0, 1, 20_001)
-        for x in (0.2, 0.9, 1.7, 3.1):
-            brute = float(np.max(m.distortion(grid) - x * grid))
-            assert m.dual_bound(x) == pytest.approx(brute, abs=1e-8)
-
-
 class TestGaussianMultiplier:
     def test_tail_closed_forms(self):
         assert D.gaussian_multiplier(D.tail(1.0)) == 0.0
