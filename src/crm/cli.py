@@ -39,8 +39,6 @@ __all__ = ["main", "run_command"]
 
 ANNOUNCE_SCHEMA = "crm.announce/1"
 _FULL_HISTORY = "uniform:1000000000"  # the default scheme: every period
-_NO_TRIAL_PROBS = "{path}: panel probability weights are not supported with --trials"
-_UNUSED_PROBS = "{path}: panel probability weights are not supported by {use}"
 
 
 # ---------------------------------------------------------------------------
@@ -226,10 +224,6 @@ def _reject_unread(args, flags, mode: str) -> None:
             raise DataError(f"{mode} does not read {flag}")
 
 
-def _columns_arg(text):
-    return [c.strip() for c in text.split(",")] if text else None
-
-
 def _ints(value, what: str, shape: tuple, lo: int, hi=None) -> np.ndarray:
     """value as integers of `shape` in [lo, hi) (no upper bound when hi is
     None), or a DataError naming what."""
@@ -258,12 +252,40 @@ def _draw_values(eff, scheme, seed, trials, draws_per_trial):
     return draws, _sampling.materialize(draws, eff)
 
 
-def _ingest_unweighted(path, use: str) -> JointPanel:
-    """ingest_panel for a file whose prob column `use` would ignore."""
+def _panel(path, unused_by: str = "") -> JointPanel:
+    """The panel read from path. A nonempty `unused_by` says what reads the
+    panel without its scenario weights ("with --trials", "by factor", ...),
+    and a prob column is then a DataError naming the file."""
     panel = ingest_panel(path)
-    if panel.probs is not None:
-        raise DataError(_UNUSED_PROBS.format(path=path, use=use))
+    if unused_by and panel.probs is not None:
+        raise DataError(f"{path}: panel probability weights are not supported {unused_by}")
     return panel
+
+
+def _columns(panel: JointPanel, where, names):
+    """Indices of the named columns of panel (all of them without names); an
+    unknown name is a DataError naming where, the panel's file or JSON entry."""
+    if not names:
+        return slice(None)
+    try:
+        return [panel.column_index(c) for c in names]
+    except DataError as exc:
+        raise DataError(f"{where}: {exc}") from None
+
+
+def _series(panel: JointPanel, path, text) -> np.ndarray:
+    """Row sum of panel over the columns of a --columns text (all without one)."""
+    names = [c.strip() for c in text.split(",")] if text else None
+    return panel.pnl[:, _columns(panel, path, names)].sum(axis=1)
+
+
+def _dates_sha256(dates) -> str:
+    """sha256 of the dates, most recent first, joined by newlines: an announce
+    file's record of the periods its indices count."""
+    # no other command loads hashlib; at the top it would add 4-6 ms (OpenSSL's
+    # _hashlib, `python -X importtime`) to the start-up of every command
+    import hashlib
+    return hashlib.sha256("\n".join(dates).encode()).hexdigest()
 
 
 def _probs_on(panel: JointPanel, rows, path):
@@ -276,16 +298,11 @@ def _probs_on(panel: JointPanel, rows, path):
     return w / w.sum()
 
 
-def _load_aligned(path_a, path_b, columns_a, columns_b, trials: bool = False):
+def _load_aligned(path_a, path_b, columns_a, columns_b, unused_by: str = ""):
     """Two panel series on their common dates, most recent first, and the prob
-    weights of whichever panel has them (if both do, they must agree). With
-    `trials`, prob columns are rejected."""
-    pa = ingest_panel(path_a)
-    pb = ingest_panel(path_b)
-    if trials:
-        for path, panel in ((path_a, pa), (path_b, pb)):
-            if panel.probs is not None:
-                raise DataError(_NO_TRIAL_PROBS.format(path=path))
+    weights of whichever panel has them (if both do, they must agree);
+    `unused_by` as for _panel."""
+    pa, pb = _panel(path_a, unused_by), _panel(path_b, unused_by)
     ia, ib = align(pa.dates, pb.dates)
     if ia.size == 0:
         raise DataError(f"{path_a} and {path_b} share no dates")
@@ -295,7 +312,7 @@ def _load_aligned(path_a, path_b, columns_a, columns_b, trials: bool = False):
     elif probs_b is not None and not np.allclose(probs, probs_b, rtol=1e-12, atol=0.0):
         raise DataError(f"{path_a} and {path_b} carry different probability weights "
                         "on their common dates")
-    return pa.series(columns_a)[ia], pb.series(columns_b)[ib], probs
+    return _series(pa, path_a, columns_a)[ia], _series(pb, path_b, columns_b)[ib], probs
 
 
 def _cover(dates, source, panel: JointPanel, path) -> np.ndarray:
@@ -314,14 +331,12 @@ def _cover(dates, source, panel: JointPanel, path) -> np.ndarray:
 def _cmd_estimate(args) -> dict:
     if args.trials:
         _check_trials(args.trials)
-    panel = ingest_panel(args.input)
-    series = panel.series(_columns_arg(args.columns))
+    panel = _panel(args.input, "with --trials" if args.trials else "")
+    series = _series(panel, args.input, args.columns)
     measure = _distortion.parse_measure(args.measure)
     scheme = _scheme_arg(args.scheme, args.standardize)
     out = {"measure": args.measure, "scheme": args.scheme, "seed": args.seed,
            "periods": panel.periods}
-    if args.trials and panel.probs is not None:
-        raise DataError(_NO_TRIAL_PROBS.format(path=args.input))
     if not args.trials and scheme.kind == "bootstrap":
         raise DataError(f"scheme {args.scheme} needs --trials")
     eff, probs = _sampling.effective_series(series, scheme, args.standardize)
@@ -342,10 +357,11 @@ def _cmd_estimate(args) -> dict:
     else:
         if panel.probs is not None:
             if probs is not None:
-                raise DataError("panel probability weights conflict with a weighting scheme")
+                raise DataError(f"{args.input}: panel probability weights conflict "
+                                "with a weighting scheme")
             if scheme.kind == "timechange":  # its periods sum windows of rows
-                raise DataError(_UNUSED_PROBS.format(path=args.input,
-                                                     use="the timechange scheme"))
+                raise DataError(f"{args.input}: panel probability weights are not "
+                                "supported by the timechange scheme")
             probs = _probs_on(panel, slice(eff.size), args.input)
         plot_dist = ScenarioDistribution(eff, probs)
         out.update(estimate=weighted_var(plot_dist, measure), method="exact")
@@ -369,10 +385,8 @@ def _write_plot_data(prefix: str, dist: ScenarioDistribution) -> None:
 
 def _cmd_announce(args) -> dict:
     _check_trials(args.trials)
-    panel = ingest_panel(args.input)
-    if panel.probs is not None:
-        raise DataError(_NO_TRIAL_PROBS.format(path=args.input))
-    series = panel.series(_columns_arg(args.columns))
+    panel = _panel(args.input, "with --trials")
+    series = _series(panel, args.input, args.columns)
     orders = _distortion.parse_measure(args.measure).orders
     if orders is None:
         raise DataError("announce needs an integer-order measure (alpha:A or beta:A,B)")
@@ -387,6 +401,7 @@ def _cmd_announce(args) -> dict:
         "trials": args.trials, "draws_per_trial": a, "order_beta": b,
         "series_len": int(eff.size), "standardize": args.standardize,
         "first_date": panel.dates[0], "last_date": panel.dates[-1],
+        "dates_sha256": _dates_sha256(panel.dates),
         "indices": draws.indices,
         "selected": selected.reshape(_selected_shape(args.trials, b)),
     }
@@ -420,17 +435,20 @@ def _contrib_announced(args) -> dict:
     def ints(key, shape, lo, hi=None):
         return _ints(_require(ann, key, path), f"{path}: key {key!r}", shape, lo, hi)
 
-    panel = ingest_panel(args.input)
-    if panel.probs is not None:
-        raise DataError(_NO_TRIAL_PROBS.format(path=args.input))
+    panel = _panel(args.input, "with --trials")
     # announced indices are positions in a most-recent-first series, so the
-    # trade must start on the firm's most recent date and reach its oldest one
+    # trade must start on the firm's most recent date, reach its oldest one and
+    # hold the firm's dates in between
     first, last = _require(ann, "first_date", path), _require(ann, "last_date", path)
     if panel.dates[0] != first or last not in panel.dates:
         raise DataError(
             f"{args.input} runs from {panel.dates[0]!r} back to {panel.dates[-1]!r}, but "
             f"{path} announces draws on the dates from {first!r} back to {last!r}")
-    series = panel.series(_columns_arg(args.columns))
+    if _require(ann, "dates_sha256", path) != _dates_sha256(
+            panel.dates[:panel.dates.index(last) + 1]):
+        raise DataError(f"{args.input} holds other dates from {first!r} back to {last!r} "
+                        f"than {path} announces draws on (key 'dates_sha256')")
+    series = _series(panel, args.input, args.columns)
     scheme_text = _require(ann, "scheme", path)
     scheme = _spec("scheme", scheme_text, f"{path}: key 'scheme'")
     # files written before announce recorded the flag leave it to the desk
@@ -446,7 +464,7 @@ def _contrib_announced(args) -> dict:
     eff, _ = _sampling.effective_series(series, scheme, standardize)
     if eff.size < series_len:
         raise DataError(
-            f"trade history too short: announce covers {series_len} periods, "
+            f"{args.input}: trade history too short: announce covers {series_len} periods, "
             f"trade has {eff.size}")
     k = int(ints("trials", (), 1))
     if k < 2:
@@ -468,9 +486,9 @@ def _contrib_inprocess(args) -> dict:
     measure = _distortion.parse_measure(args.measure)
     if args.trials and measure.orders is None:
         raise DataError("Monte Carlo contribution needs alpha:A or beta:A,B")
-    x_series, w_series, probs = _load_aligned(
-        args.input, args.firm, _columns_arg(args.columns),
-        _columns_arg(args.firm_columns), trials=bool(args.trials))
+    x_series, w_series, probs = _load_aligned(args.input, args.firm, args.columns,
+                                              args.firm_columns,
+                                              "with --trials" if args.trials else "")
     if args.trials:
         a, b = measure.orders
         scheme_text = args.scheme or _FULL_HISTORY
@@ -504,20 +522,20 @@ def _parse_regression(text: str):
 
 
 def _cmd_factor(args) -> dict:
-    panel = _ingest_unweighted(args.input, "factor")
-    factors = _ingest_unweighted(args.factors, "factor")
+    panel = _panel(args.input, "by factor")
+    factors = _panel(args.factors, "by factor")
     pi, fi = align(panel.dates, factors.dates)
     if pi.size == 0:
         raise DataError(f"{args.input} and {args.factors} share no dates")
-    w_series = panel.series(_columns_arg(args.columns))[pi]
+    w_series = _series(panel, args.input, args.columns)[pi]
     measure = _distortion.parse_measure(args.measure)
     reg = _parse_regression(args.regression)
     method = reg.pop("method")
     targets = [w_series]
     if args.trade:
-        trade = _ingest_unweighted(args.trade, "factor")
+        trade = _panel(args.trade, "by factor")
         ti = _cover([panel.dates[i] for i in pi], args.input, trade, args.trade)
-        targets.append(trade.series(_columns_arg(args.trade_columns))[ti])
+        targets.append(_series(trade, args.trade, args.trade_columns)[ti])
 
     def risks(y, key):
         """Factor risk of the firm and, with --trade, the trade's factor
@@ -540,7 +558,7 @@ def _cmd_factor(args) -> dict:
 
 def _cmd_optimize(args) -> dict:
     _check_solver(args)
-    panel = ingest_panel(args.panel)
+    panel = _panel(args.panel)
     rewards = _read_rewards(args.rewards, panel)
     with open(args.limits) as fh:
         spec = json.load(fh)
@@ -556,12 +574,9 @@ def _cmd_optimize(args) -> dict:
             if factors is None:
                 if not args.factors:
                     raise DataError("factor-mapped limits need --factors")
-                factors = _ingest_unweighted(args.factors, "optimize --factors")
+                factors = _panel(args.factors, "by optimize --factors")
                 fidx = _cover(panel.dates, args.panel, factors, args.factors)
-            try:
-                col = factors.column_index(entry["factor"])
-            except DataError as exc:
-                raise DataError(f"{where}: {args.factors}: {exc}") from None
+            [col] = _columns(factors, f"{where}: {args.factors}", [entry["factor"]])
             eff_panel = _factor.conditional_means(panel.pnl, factors.pnl[fidx, col],
                                                   method, **reg)
             label += f" | {entry['factor']}"
@@ -595,7 +610,7 @@ def _read_rewards(path: str, panel: JointPanel) -> np.ndarray:
 
 
 def _cmd_allocate(args) -> dict:
-    panel = ingest_panel(args.input)
+    panel = _panel(args.input)
     measure = _distortion.parse_measure(args.measure)
     components = [panel.pnl[:, j] for j in range(panel.pnl.shape[1])]
     allocs, residual = capital_allocation(components, panel.probs, measure)
@@ -607,9 +622,8 @@ def _cmd_allocate(args) -> dict:
 
 def _cmd_kappa(args) -> dict:
     measure = _distortion.parse_measure(args.measure)
-    x_series, w_series, probs = _load_aligned(
-        args.input, args.firm, _columns_arg(args.columns),
-        _columns_arg(args.firm_columns))
+    x_series, w_series, probs = _load_aligned(args.input, args.firm, args.columns,
+                                              args.firm_columns)
     value = tail_correlation(x_series, w_series, probs, measure)
     return {"measure": args.measure, "tail_correlation": value}
 
@@ -640,10 +654,10 @@ def _cmd_equilibrium(args) -> dict:
             raise DataError(f"{where}: key 'columns' must be a nonempty list of "
                             f"column names, got {cols!r}")
         if paths[-1] not in parsed:
-            parsed[paths[-1]] = _ingest_unweighted(paths[-1], "equilibrium")
+            parsed[paths[-1]] = _panel(paths[-1], "by equilibrium")
         p = parsed[paths[-1]]
         panels.append(p)
-        picks.append(slice(None) if cols is None else [p.column_index(c) for c in cols])
+        picks.append(_columns(p, f"{where}: {paths[-1]}", cols))
         n_cols = len(p.assets) if cols is None else len(cols)
         bounds = entry.get("bounds") or None
         if bounds is not None:

@@ -12,7 +12,7 @@ import csv
 import datetime as _dt
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -42,12 +42,9 @@ class JointPanel:
     def periods(self) -> int:
         return self.pnl.shape[0]
 
-    def series(self, columns: Optional[Sequence[str]] = None) -> np.ndarray:
-        """Portfolio P&L per period: the row sum over selected asset columns."""
-        if columns is None:
-            return self.pnl.sum(axis=1)
-        idx = [self.column_index(c) for c in columns]
-        return self.pnl[:, idx].sum(axis=1)
+    def series(self) -> np.ndarray:
+        """Portfolio P&L per period: the row sum over every asset column."""
+        return self.pnl.sum(axis=1)
 
     def column_index(self, name: str) -> int:
         try:

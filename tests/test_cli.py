@@ -1,6 +1,7 @@
 """CLI: ingestion, subcommand behaviour, determinism, exit codes."""
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -92,6 +93,14 @@ class TestIngest:
         assert p.periods == 3
         assert p.dates[0] > p.dates[-1]  # most recent first
         assert p.pnl[:, 0].tolist() == [3.0, 2.0, 1.0]
+
+    def test_dates_other_than_iso_sort_as_text(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("date,A\n2020/1/10,1.0\n2020/1/9,2.0\n2020/1/11,3.0\n")
+        p = ingest_panel(path)
+        # most recent first as text: "2020/1/9" sorts after "2020/1/11"
+        assert p.dates == ("2020/1/9", "2020/1/11", "2020/1/10")
+        assert p.pnl[:, 0].tolist() == [2.0, 3.0, 1.0]
 
     def test_blank_cell_names_row_and_column(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -309,6 +318,27 @@ class TestAnnounceContrib:
         if code:
             assert (f"{trade} runs from '{end}' back to '{start}', but {ann} announces "
                     "draws on the dates from '2025-03-01' back to '2025-01-01'") in err
+
+    def test_trade_on_other_dates_between_the_announced_ones(self, tmp_path, capsys):
+        # the firm trades every other day, the trade every day: same first and
+        # last date and the same values, so position i is another date on each
+        days = [str(d) for d in np.arange(np.datetime64("2025-01-01"), 59)]
+        values = np.random.default_rng(5).normal(size=(59, 1)).round(6).tolist()
+        firm, trade, ann = tmp_path / "firm.csv", tmp_path / "trade.csv", tmp_path / "a.json"
+        write_panel(firm, ["A"], values[::2], days[::2])
+        write_panel(trade, ["X"], values, days)
+        flags = ["--measure", "beta:6,2", "--trials", 200, "--seed", 3]
+        code, rep = run(capsys, ["announce", "--input", firm, "--out", ann] + flags)
+        assert code == 0
+        digest = hashlib.sha256("\n".join(days[::2][::-1]).encode()).hexdigest()
+        assert rep["dates_sha256"] == json.loads(ann.read_text())["dates_sha256"] == digest
+        code = cli.run_command(["contrib", "--input", str(trade), "--announced", str(ann),
+                                "--seed", "3"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert (f"crm: error: {trade} holds other dates from '2025-02-28' back to "
+                f"'2025-01-01' than {ann} announces draws on (key 'dates_sha256')\n"
+                == captured.err)
 
     @pytest.fixture()
     def student_t(self, tmp_path):
@@ -645,6 +675,10 @@ class TestAnnounceFileChecks:
         err = self.contrib(capsys, *announced, lambda p: p.pop("series_len"))
         assert "ann.json: missing key 'series_len'" in err
 
+    def test_missing_dates_sha256(self, announced, capsys):
+        err = self.contrib(capsys, *announced, lambda p: p.pop("dates_sha256"))
+        assert "ann.json: missing key 'dates_sha256'" in err
+
     @pytest.mark.parametrize("key, value", [("order_beta", 7), ("order_beta", 2.0),
                                             ("trials", "40"), ("draws_per_trial", True)])
     def test_bad_counts_name_the_key(self, announced, capsys, key, value):
@@ -703,7 +737,8 @@ class TestFactorCommand:
                                + [a for flag, path in files.items() for a in (flag, path)])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
-        assert cli._UNUSED_PROBS.format(path=files[weighted], use="factor") in captured.err
+        assert (f"{files[weighted]}: panel probability weights are not supported by "
+                "factor") in captured.err
 
 
 class TestFactorJoint:
@@ -857,8 +892,8 @@ class TestOptimizeCommand:
         code = cli.run_command(argv)
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
-        assert cli._UNUSED_PROBS.format(path=fpath, use="optimize --factors") \
-            in captured.err
+        assert (f"{fpath}: panel probability weights are not supported by "
+                "optimize --factors") in captured.err
 
     def test_unknown_factor_column_names_file_entry_and_column(self, tmp_path, capsys):
         code = cli.run_command(self._inputs(tmp_path, factor="Z"))
@@ -1175,8 +1210,8 @@ class TestEquilibriumCommand:
         code = cli.run_command(["equilibrium", "--firm", str(fpath), "--seed", "1"])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
-        assert cli._UNUSED_PROBS.format(path=tmp_path / "b.csv", use="equilibrium") \
-            in captured.err
+        assert (f"{tmp_path / 'b.csv'}: panel probability weights are not supported by "
+                "equilibrium") in captured.err
 
     @pytest.mark.parametrize("flag, value", [("--max-iter", 0), ("--max-iter", -2),
                                              ("--restarts", 0), ("--restarts", -3)])
@@ -1426,6 +1461,97 @@ class TestJoinErrors:
         assert code == 1 and captured.out == ""
         # panels are held most recent first, so the latest uncovered date comes first
         assert f"{factors} is missing date '2025-01-03' of {panel}" in captured.err
+
+
+class TestPanelErrorsNameTheFile:
+    """Every column name goes through one lookup, and an unknown one exits 1
+    naming the file, after the JSON entry that names it."""
+
+    @pytest.fixture()
+    def files(self, tmp_path, capsys):
+        rng = np.random.default_rng(12)
+        paths = {name: tmp_path / f"{name}.csv" for name in ("firm", "trade", "factors")}
+        for name, cols in (("firm", ["A", "B"]), ("trade", ["X"]), ("factors", ["F"])):
+            write_panel(paths[name], cols, rng.normal(size=(30, len(cols))).round(6).tolist())
+        paths["ann"] = tmp_path / "ann.json"
+        assert run(capsys, ["announce", "--input", paths["firm"], "--measure", "beta:6,2",
+                            "--trials", 20, "--seed", 1, "--out", paths["ann"]])[0] == 0
+        (tmp_path / "rewards.csv").write_text("asset,reward\nA,1.0\nB,1.0\n")
+        paths["limits"] = tmp_path / "limits.json"
+        paths["limits"].write_text(json.dumps(
+            [{"measure": "tail:0.5", "limit": 2.0, "factor": "Z"}]))
+        paths["desks"] = tmp_path / "firm.json"
+        paths["desks"].write_text(json.dumps(
+            {"desks": [{"panel": "firm.csv", "columns": ["Z"], "rewards": [1.0]}],
+             "limits": [{"measure": "tail:0.5", "limit": 1.0}]}))
+        return {k: str(v) for k, v in paths.items()}
+
+    EXACT = ["--measure", "tail:0.5", "--seed", "1"]
+    TRIALS = ["--measure", "beta:6,2", "--trials", "20", "--seed", "1"]
+
+    @pytest.mark.parametrize("argv, where", [
+        (["estimate", "--input", "{firm}", "--columns", "A,Z"] + EXACT, "{firm}"),
+        (["announce", "--input", "{firm}", "--columns", "Z"] + TRIALS, "{firm}"),
+        (["contrib", "--input", "{trade}", "--firm", "{firm}", "--columns", "Z"] + EXACT,
+         "{trade}"),
+        (["contrib", "--input", "{trade}", "--firm", "{firm}", "--firm-columns", "Z"]
+         + EXACT, "{firm}"),
+        (["contrib", "--input", "{trade}", "--firm", "{firm}", "--columns", "Z"] + TRIALS,
+         "{trade}"),
+        (["contrib", "--input", "{trade}", "--firm", "{firm}", "--firm-columns", "Z"]
+         + TRIALS, "{firm}"),
+        (["contrib", "--input", "{trade}", "--announced", "{ann}", "--columns", "Z",
+          "--seed", "1"], "{trade}"),
+        (["kappa", "--input", "{trade}", "--firm", "{firm}", "--columns", "Z",
+          "--measure", "tail:0.5"], "{trade}"),
+        (["kappa", "--input", "{trade}", "--firm", "{firm}", "--firm-columns", "Z",
+          "--measure", "tail:0.5"], "{firm}"),
+        (["factor", "--input", "{firm}", "--factors", "{factors}", "--columns", "Z",
+          "--measure", "tail:0.5", "--regression", "knn:2"], "{firm}"),
+        (["factor", "--input", "{firm}", "--factors", "{factors}", "--trade", "{trade}",
+          "--trade-columns", "Z", "--measure", "tail:0.5", "--regression", "knn:2"],
+         "{trade}"),
+        (["optimize", "--panel", "{firm}", "--rewards", "{dir}/rewards.csv",
+          "--limits", "{limits}", "--factors", "{factors}", "--seed", "1"],
+         "{limits}: entry 0: {factors}"),
+        (["equilibrium", "--firm", "{desks}", "--seed", "1"],
+         "{desks}: desks[0]: {firm}"),
+    ], ids=["estimate", "announce", "contrib", "contrib-firm", "contrib-trials",
+            "contrib-trials-firm", "contrib-announced", "kappa", "kappa-firm", "factor",
+            "factor-trade", "optimize-limit", "equilibrium-desk"])
+    def test_unknown_column(self, tmp_path, files, capsys, argv, where):
+        def fill(text):
+            return text.format(dir=tmp_path, **files)
+
+        code = cli.run_command([fill(a) for a in argv])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.startswith(f"crm: error: {fill(where)}: unknown column 'Z'; "
+                                       "panel has [")
+
+    def test_weighting_scheme_conflict(self, tmp_path, capsys):
+        path = tmp_path / "w.csv"
+        path.write_text("date,A,prob\n2025-01-01,1.0,1\n2025-01-02,-2.0,1\n"
+                        "2025-01-03,0.5,2\n")
+        code = cli.run_command(["estimate", "--input", str(path), "--measure", "tail:0.5",
+                                "--scheme", "geometric:0.9", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert (f"crm: error: {path}: panel probability weights conflict with a "
+                "weighting scheme\n") == captured.err
+
+    def test_trade_history_too_short(self, files, capsys):
+        # the trade holds the firm's 30 dates; the file claims one period more
+        payload = json.loads(open(files["ann"]).read())
+        payload["series_len"] = 31
+        with open(files["ann"], "w") as fh:
+            json.dump(payload, fh)
+        code = cli.run_command(["contrib", "--input", files["trade"], "--announced",
+                                files["ann"], "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert (f"crm: error: {files['trade']}: trade history too short: announce covers "
+                "31 periods, trade has 30\n") == captured.err
 
 
 class TestStrictEmit:

@@ -10,6 +10,7 @@ from scipy import integrate
 from scipy.special import beta as beta_fn
 from scipy.special import comb
 
+from crm import contribution as C
 from crm import distortion as D
 from crm import scenario as S
 
@@ -188,6 +189,18 @@ class TestConstructionAndParsing:
         ("beta:3,0.5", None), ("tail:0.05", None), ("mix:0.5@0.25,0.5@1.0", None)])
     def test_orders_of_order_statistics_measures(self, text, orders):
         assert D.parse_measure(text).orders == orders
+
+    def test_duplicate_mixture_levels_merge_into_one_atom(self):
+        merged, tail = D.parse_measure("mix:0.5@0.1,0.5@0.1"), D.parse_measure("tail:0.1")
+        assert (merged.levels.tolist(), merged.weights.tolist()) == ([0.1], [1.0])
+        rng = np.random.default_rng(2)
+        w = rng.normal(size=40).round(1)  # ties
+        probs = rng.uniform(0.5, 1.5, size=40)
+        d = S.ScenarioDistribution(w, probs / probs.sum())
+        assert S.weighted_var(d, merged) == S.weighted_var(d, tail)
+        got, want = (C.extreme_measure(w, probs / probs.sum(), m) for m in (merged, tail))
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert got.utility == want.utility
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):

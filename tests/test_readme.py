@@ -27,3 +27,14 @@ def test_readme_flags_are_the_parser_flags():
     assert {"stale in README": sorted(named - flags),
             "missing from README": sorted(flags - named)} == \
         {"stale in README": [], "missing from README": []}
+
+
+def test_package_layout_names_every_module():
+    with open(README) as fh:
+        block = fh.read().split("## Package layout", 1)[1].split("```")[1]
+    named = set(re.findall(r"^  (\S+\.py) ", block, re.MULTILINE))
+    src = os.path.join(os.path.dirname(README), "src", "crm")
+    modules = {f for f in os.listdir(src) if f.endswith(".py") and f != "__init__.py"}
+    assert {"stale in README": sorted(named - modules),
+            "missing from README": sorted(modules - named)} == \
+        {"stale in README": [], "missing from README": []}
