@@ -30,7 +30,7 @@ from . import mc as _mc
 from . import optimize as _optimize
 from . import sampling as _sampling
 from . import sharing as _sharing
-from .contribution import capital_allocation, risk_contribution, tail_correlation
+from .contribution import capital_allocation, tail_correlation
 from .errors import CrmError, DataError
 from .panel import JointPanel, _number, align, ingest_panel
 from .scenario import ScenarioDistribution, tail_var, weighted_var
@@ -451,8 +451,7 @@ def _contrib_announced(args) -> dict:
     series = _series(panel, args.input, args.columns)
     scheme_text = _require(ann, "scheme", path)
     scheme = _spec("scheme", scheme_text, f"{path}: key 'scheme'")
-    # files written before announce recorded the flag leave it to the desk
-    standardize = ann.get("standardize", args.standardize)
+    standardize = _require(ann, "standardize", path)
     if not isinstance(standardize, bool):
         raise DataError(f"{path}: key 'standardize' must be true or false, "
                         f"got {standardize!r}")
@@ -504,21 +503,27 @@ def _contrib_inprocess(args) -> dict:
                 "trials": est.trials, "contribution": est.value,
                 "std_error": est.std_error, "firm_risk": firm_est.value,
                 "firm_risk_std_error": firm_est.std_error, "method": "monte-carlo"}
-    value = _mc.weighted_contribution_empirical(x_series, w_series, probs, measure)
-    firm_risk = weighted_var(ScenarioDistribution(w_series, probs), measure)
+    value, firm_risk = _mc.weighted_contribution_empirical(x_series, w_series, probs,
+                                                           measure)
     return {"measure": args.measure, "seed": args.seed, "contribution": value,
             "firm_risk": firm_risk, "method": "exact"}
 
 
-def _parse_regression(text: str):
+def _parse_regression(text: str) -> dict:
+    """--regression as fit_conditional_mean's method and options: kernel,
+    kernel:BANDWIDTH (finite, > 0) or knn:K (an integer >= 1)."""
     head, _, rest = text.partition(":")
-    if head == "kernel":
-        return {"method": "kernel", "bandwidth": float(rest) if rest else None}
-    if head == "knn":
-        if not rest:
-            raise DataError("knn regression needs a neighbour count, e.g. knn:25")
-        return {"method": "knn", "k": int(rest)}
-    raise DataError(f"unknown regression config {text!r}")
+    try:
+        if head == "kernel" and not rest:
+            return {"method": "kernel", "bandwidth": None}
+        if head == "kernel" and 0.0 < float(rest) < np.inf:
+            return {"method": "kernel", "bandwidth": float(rest)}
+        if head == "knn" and int(rest) >= 1:
+            return {"method": "knn", "k": int(rest)}
+    except ValueError:
+        pass
+    raise DataError(f"--regression {text}: expected kernel, kernel:BANDWIDTH with a finite "
+                    "bandwidth > 0, or knn:K with an integer K >= 1")
 
 
 def _cmd_factor(args) -> dict:
@@ -530,23 +535,19 @@ def _cmd_factor(args) -> dict:
     w_series = _series(panel, args.input, args.columns)[pi]
     measure = _distortion.parse_measure(args.measure)
     reg = _parse_regression(args.regression)
-    method = reg.pop("method")
-    targets = [w_series]
+    trade = None
     if args.trade:
-        trade = _panel(args.trade, "by factor")
-        ti = _cover([panel.dates[i] for i in pi], args.input, trade, args.trade)
-        targets.append(_series(trade, args.trade, args.trade_columns)[ti])
+        trade_panel = _panel(args.trade, "by factor")
+        ti = _cover([panel.dates[i] for i in pi], args.input, trade_panel, args.trade)
+        trade = _series(trade_panel, args.trade, args.trade_columns)[ti]
 
     def risks(y, key):
         """Factor risk of the firm and, with --trade, the trade's factor
-        contribution to it, from one fit of both on the factor sample y."""
-        fitted_w, *fitted_trade = _factor.conditional_means(
-            np.column_stack(targets), y, method, **reg).T
-        out = {f"{key}_risk": weighted_var(ScenarioDistribution(fitted_w), measure)}
-        if fitted_trade:
-            out[f"{key}_contribution"] = risk_contribution(fitted_trade[0], fitted_w,
-                                                           None, measure)
-        return out
+        contribution to it, on the factor sample y."""
+        if trade is None:
+            return {f"{key}_risk": _factor.factor_risk(w_series, y, measure, **reg)}
+        contribution, risk = _factor.factor_contribution(trade, w_series, y, measure, **reg)
+        return {f"{key}_risk": risk, f"{key}_contribution": contribution}
 
     rows = [{"factor": name, **risks(factors.pnl[fi, j], "factor")}
             for j, name in enumerate(factors.assets)]
@@ -564,7 +565,6 @@ def _cmd_optimize(args) -> dict:
         spec = json.load(fh)
     factors = None
     reg = _parse_regression(args.regression)
-    method = reg.pop("method")
     limits, labels = [], {}  # label -> the limit entry that has it
     for i, (where, entry, text, measure, limit) in enumerate(_read_limits(
             spec, args.limits, "entry {}", ("measure", "limit", "label", "factor"))):
@@ -577,8 +577,7 @@ def _cmd_optimize(args) -> dict:
                 factors = _panel(args.factors, "by optimize --factors")
                 fidx = _cover(panel.dates, args.panel, factors, args.factors)
             [col] = _columns(factors, f"{where}: {args.factors}", [entry["factor"]])
-            eff_panel = _factor.conditional_means(panel.pnl, factors.pnl[fidx, col],
-                                                  method, **reg)
+            eff_panel = _factor.conditional_means(panel.pnl, factors.pnl[fidx, col], **reg)
             label += f" | {entry['factor']}"
         else:
             eff_panel = panel.pnl
@@ -613,8 +612,7 @@ def _cmd_allocate(args) -> dict:
     panel = _panel(args.input)
     measure = _distortion.parse_measure(args.measure)
     components = [panel.pnl[:, j] for j in range(panel.pnl.shape[1])]
-    allocs, residual = capital_allocation(components, panel.probs, measure)
-    total = weighted_var(ScenarioDistribution(panel.series(), panel.probs), measure)
+    allocs, total, residual = capital_allocation(components, panel.probs, measure)
     return {"measure": args.measure,
             "allocations": {a: v for a, v in zip(panel.assets, allocs)},
             "total_risk": total, "residual": residual}
@@ -684,8 +682,7 @@ def _cmd_equilibrium(args) -> dict:
     # the rounding of the solver's matrix products
     desks = [_sharing.Desk(panel=p.pnl[r][:, pick], **spec)
              for p, r, pick, spec in zip(panels, rows, picks, specs)]
-    _, _, texts, measures, limit_vals = zip(*_read_limits(limit_spec, args.firm,
-                                                          "limits[{}]"))
+    *_, measures, limit_vals = zip(*_read_limits(limit_spec, args.firm, "limits[{}]"))
     limit_vals = np.array(limit_vals)
     if "allocation" in spec:
         allocation = _numbers(spec["allocation"], f"{args.firm}: key 'allocation'",
@@ -699,15 +696,7 @@ def _cmd_equilibrium(args) -> dict:
                                      allocation=allocation)
     except ValueError as exc:  # e.g. allocation columns that miss the limits
         raise DataError(f"{args.firm}: {exc}") from None
-    stacked = np.hstack([d.panel for d in desks])
-    rewards = np.concatenate([d.rewards for d in desks])
-    limits = [_optimize.RiskLimit(m, float(c), stacked, label=t)
-              for m, c, t in zip(measures, limit_vals, texts)]
-    box = np.vstack([[(-np.inf, np.inf)] * d.rewards.size if d.bounds is None else d.bounds
-                     for d in desks])
-    problem = _optimize.OptimizationProblem(rewards=rewards, limits=limits, bounds=box)
-    sol = _optimize.solve_portfolio(problem, max_iter=args.max_iter)
-    holdings = np.split(sol.h, np.cumsum([d.rewards.size for d in desks])[:-1])
+    sol, holdings = _sharing.solve_firm(firm, max_iter=args.max_iter)
     prices, residual, risks = _sharing.equilibrium_prices(firm, holdings)
     trades = _sharing.limit_trades(firm, holdings)
     report = _sharing.verify_equilibrium(firm, holdings, trades, prices)
@@ -832,8 +821,10 @@ def run_command(argv) -> int:
         t0 = time.perf_counter()
         _emit({"command": list(argv), **args.fn(args),
                "timings": {"seconds": time.perf_counter() - t0}})
-    except (CrmError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        sys.stderr.write(f"crm: error: {exc}\n")
+    except (CrmError, ValueError, KeyError, OSError, json.JSONDecodeError,
+            MemoryError) as exc:
+        # numpy's MemoryError names the size it could not allocate; a bare one has no text
+        sys.stderr.write(f"crm: error: {str(exc) or type(exc).__name__}\n")
         return 1
     return 0
 

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distortion import WeightingMeasure
-from .scenario import (ScenarioDistribution, _exact_dot, _law_cdf, _rank_blocks,
-                       _scenario_probs, weighted_var)
+from .scenario import (ScenarioDistribution, _block_weights, _exact_dot, _law_cdf,
+                       _rank_blocks, _scenario_probs, weighted_var)
 
 __all__ = ["ExtremeWeights", "extreme_measure", "risk_contribution",
            "capital_allocation", "tail_correlation", "gaussian_contribution"]
@@ -36,6 +36,7 @@ class ExtremeWeights:
 
     weights: np.ndarray
     utility: float  # expectation of the reference P&L under the weights
+    risk: float     # the reference's spectral risk, as weighted_var gives it
 
 
 def _aligned(x, w, probs):
@@ -56,8 +57,8 @@ def extreme_measure(w, probs, measure: WeightingMeasure) -> ExtremeWeights:
     if w.ndim != 1 or w.size == 0:
         raise ValueError("w must be a nonempty 1-d array")
     probs = _scenario_probs(w, probs)
-    order, block, bp, cum = _rank_blocks(w, probs)
-    block_w = np.diff(measure.distortion(cum), prepend=0.0)
+    order, block, values, bp, cum = _rank_blocks(w, probs)
+    block_w = _block_weights(cum, measure)
     with np.errstate(invalid="ignore", divide="ignore"):
         scale = np.where(bp > 0.0, block_w / bp, 0.0)
     out = np.empty(w.size)
@@ -67,7 +68,7 @@ def extreme_measure(w, probs, measure: WeightingMeasure) -> ExtremeWeights:
         out /= total
     util = _exact_dot(out, w)
     out.flags.writeable = False
-    return ExtremeWeights(weights=out, utility=util)
+    return ExtremeWeights(weights=out, utility=util, risk=-_exact_dot(values, block_w))
 
 
 def risk_contribution(x, w, probs, measure: WeightingMeasure) -> float:
@@ -87,11 +88,12 @@ def risk_contribution(x, w, probs, measure: WeightingMeasure) -> float:
 
 
 def capital_allocation(components, probs, measure: WeightingMeasure):
-    """Per-component contributions to the total risk, and the residual.
+    """Per-component contributions to the total risk, the total, and the residual.
 
     components: sequence of N aligned value vectors over shared scenarios.
-    Returns (allocations, residual) with residual = sum(allocations) minus the
-    total portfolio risk (zero up to rounding).
+    Returns (allocations, total, residual): total is the risk of the summed
+    components and residual = sum(allocations) minus total (zero up to
+    rounding), both from one ranking of the sum.
     """
     comp = [np.asarray(c, dtype=float) for c in components]
     if not comp:
@@ -100,12 +102,9 @@ def capital_allocation(components, probs, measure: WeightingMeasure):
     if any(c.ndim != 1 or c.size != t for c in comp):
         raise ValueError("components must be aligned 1-d vectors")
     total = np.sum(comp, axis=0)
-    probs = _scenario_probs(total, probs)
-    q = extreme_measure(total, probs, measure).weights
-    allocs = np.array([-_exact_dot(q, c) for c in comp])
-    total_risk = weighted_var(ScenarioDistribution(total, probs), measure)
-    residual = float(math.fsum(allocs.tolist()) - total_risk)
-    return allocs, residual
+    ew = extreme_measure(total, probs, measure)
+    allocs = np.array([-_exact_dot(ew.weights, c) for c in comp])
+    return allocs, ew.risk, float(math.fsum(allocs.tolist()) - ew.risk)
 
 
 def tail_correlation(x, w, probs, measure: WeightingMeasure) -> float:

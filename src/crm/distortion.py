@@ -130,6 +130,8 @@ def mixture(atoms) -> WeightingMeasure:
         raise ValueError("mixture needs at least one atom")
     levels = np.asarray([a[0] for a in atoms], dtype=float)
     weights = np.asarray([a[1] for a in atoms], dtype=float)
+    if not (np.all(np.isfinite(levels)) and np.all(np.isfinite(weights))):
+        raise ValueError("mixture levels and weights must be finite")
     if np.any(levels <= 0.0) or np.any(levels > 1.0):
         raise ValueError("mixture levels must lie in (0, 1]")
     if np.any(weights < 0.0):
@@ -157,6 +159,8 @@ def beta(a: float, b: float) -> WeightingMeasure:
     so its ``orders`` stay (a, a).
     """
     a, b = float(a), float(b)
+    if not (np.isfinite(a) and np.isfinite(b)):
+        raise ValueError(f"parameters must be finite, got {a}, {b}")
     if not (a > -1.0):
         raise ValueError(f"first parameter must exceed -1, got {a}")
     if not (-1.0 < b <= a):

@@ -2,16 +2,15 @@
 
 The risk a position carries through a market factor is the risk of its
 conditional mean given that factor. Everything here therefore reduces to two
-steps: estimate conditional means (by kernel or nearest-neighbour regression,
-or analytically when the caller knows them), then reuse the exact scenario evaluators on the
-fitted values. Gaussian closed forms are provided for validation and for
-covariance-based workflows.
+steps: estimate conditional means by kernel or nearest-neighbour regression,
+then reuse the exact scenario evaluators on the fitted values. Gaussian
+closed forms are provided for validation and for covariance-based workflows.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -20,9 +19,9 @@ from .contribution import risk_contribution
 from .distortion import WeightingMeasure
 from .scenario import ScenarioDistribution, weighted_var
 
-__all__ = ["KernelRegressor", "KNearestRegressor", "AnalyticRegressor",
-           "fit_conditional_mean", "conditional_means", "factor_risk",
-           "gaussian_factor_risk", "factor_contribution", "factor_model_diagnostic"]
+__all__ = ["KernelRegressor", "KNearestRegressor", "fit_conditional_mean",
+           "conditional_means", "factor_risk", "gaussian_factor_risk",
+           "factor_contribution", "factor_model_diagnostic"]
 
 _MAX_FACTOR_DIM = 5
 _KERNEL_NEIGHBORS = 256
@@ -68,19 +67,6 @@ class _Targets:
     def _shaped(self, out: np.ndarray) -> np.ndarray:
         """(n, Q) predictions in the shape of the fitted targets."""
         return out[0] if self._single else np.ascontiguousarray(out.T)
-
-
-class AnalyticRegressor:
-    """Conditional mean supplied by the caller as a function of the factor."""
-
-    def __init__(self, fn: Callable):
-        self.fn = fn
-
-    def predict(self, y) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        single = y.ndim == 2 and y.shape[1] == 1
-        out = np.asarray(self.fn(y[:, 0] if single else y), dtype=float)
-        return out.reshape(y.shape[0])
 
 
 class KNearestRegressor(_Targets):
@@ -194,22 +180,17 @@ class KernelRegressor(_Targets):
         return (wgt * np.take(self._x, idx, axis=1)).sum(axis=2) / wgt.sum(axis=1)
 
 
-def fit_conditional_mean(y, x, method: str, *, bandwidth=None,
-                         k: Optional[int] = None, fn: Optional[Callable] = None):
+def fit_conditional_mean(y, x, method: str, *, bandwidth=None, k: Optional[int] = None):
     """Fit a conditional-mean regressor of x on the factor sample y.
 
     x is one target (T,) or n targets (T, n); one fit serves them all, and
-    predict returns values in the same layout. method: "kernel", "knn" or
-    "analytic". Data-driven methods need at least two samples.
+    predict returns values in the same layout. method: "kernel" or "knn";
+    both need at least two samples.
     """
     y = _as_factor_matrix(y)
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2) or x.shape[0] != y.shape[0] or x.size == 0:
         raise ValueError("x must align with the factor sample")
-    if method == "analytic":
-        if fn is None:
-            raise ValueError("analytic method needs fn")
-        return AnalyticRegressor(fn)
     if y.shape[0] < 2:
         raise ValueError("data-driven regression needs at least 2 samples")
     if method == "kernel":
@@ -239,25 +220,15 @@ def factor_risk(series, y, measure: WeightingMeasure, method: str,
 
 
 def factor_contribution(x_series, w_series, y, measure: WeightingMeasure,
-                        method: str, fn=None, fn_w=None,
-                        **regressor_kwargs) -> float:
-    """Factor-risk contribution of x to w: the contribution between the two
-    fitted conditional means (risk-signed), both from one fit, on equally
-    weighted factor samples.
-
-    With the analytic method, `fn` is the conditional mean of x and `fn_w`
-    that of the reference (defaulting to `fn` for self-contribution checks).
-    """
-    if method == "analytic":
-        fx = conditional_means(x_series, y, method, fn=fn, **regressor_kwargs)
-        gw = conditional_means(w_series, y, method, fn=fn if fn_w is None else fn_w,
-                               **regressor_kwargs)
-    elif fn is not None or fn_w is not None:
-        raise ValueError("fn/fn_w are only meaningful with method='analytic'")
-    else:
-        fx, gw = conditional_means(np.column_stack([x_series, w_series]), y, method,
-                                   **regressor_kwargs).T
-    return risk_contribution(fx, gw, None, measure)
+                        method: str, **regressor_kwargs):
+    """Factor-risk contribution of x to w, and the factor risk of w: the
+    contribution between the two fitted conditional means (risk-signed) and
+    the risk of w's, both from one fit on equally weighted factor samples."""
+    # reference first: the order of the targets fixes the last bits of the fit
+    gw, fx = conditional_means(np.column_stack([w_series, x_series]), y, method,
+                               **regressor_kwargs).T
+    return (risk_contribution(fx, gw, None, measure),
+            weighted_var(ScenarioDistribution(gw), measure))
 
 
 def gaussian_factor_risk(mean_x: float, cov_xy, cov_yy, multiplier: float) -> float:

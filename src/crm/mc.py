@@ -96,10 +96,12 @@ def alpha_contribution_mc(x, w) -> MCEstimate:
     return beta_contribution_mc(x, w, 1)
 
 
-def weighted_contribution_empirical(x, w, probs, measure: WeightingMeasure) -> float:
-    """Exact spectral contribution of x to w on a weighted sample: minus the
+def weighted_contribution_empirical(x, w, probs, measure: WeightingMeasure):
+    """Exact spectral contribution of x to w on a weighted sample, and the
+    risk of w, from one ranking of w. The contribution is minus the
     expectation of x under the worst-case weights of w (``extreme_measure``),
     summed exactly as in ``capital_allocation``. Reordering the scenarios
-    jointly leaves the result unchanged to the last bit."""
+    jointly leaves both unchanged to the last bit."""
     x, w, probs = _aligned(x, w, probs)
-    return -_exact_dot(extreme_measure(w, probs, measure).weights, x)
+    ew = extreme_measure(w, probs, measure)
+    return -_exact_dot(ew.weights, x), ew.risk

@@ -31,12 +31,17 @@ def _exact_dot(a, b) -> float:
 
 
 def _scenario_probs(values: np.ndarray, probs) -> np.ndarray:
-    """probs as a float array aligned with values; None means equal weights."""
+    """probs as a float array aligned with values, checked to be a law: finite,
+    nonnegative and summing to one. None means equal weights."""
     if probs is None:
         return np.full(values.size, 1.0 / values.size)
     probs = np.asarray(probs, dtype=float)
     if probs.shape != values.shape:
         raise ValueError("probs must align with the scenario values")
+    if not np.all(np.isfinite(probs)) or np.any(probs < 0.0):
+        raise ValueError("probabilities must be finite and nonnegative")
+    if abs(float(probs.sum()) - 1.0) > _PROB_TOL:
+        raise ValueError(f"probabilities must sum to 1, got {probs.sum()!r}")
     return probs
 
 
@@ -53,9 +58,10 @@ def _law_cdf(masses: np.ndarray) -> np.ndarray:
 def _rank_blocks(key: np.ndarray, probs: np.ndarray):
     """Rank scenarios by key and merge exactly equal keys into blocks.
 
-    Returns (order, block, block_probs, cum): the ascending order of key, the
-    block index of each ranked scenario, the block probabilities summed in
-    rank order, and their ``_law_cdf``. Within a block scenarios rank by
+    Returns (order, block, block_values, block_probs, cum): the ascending
+    order of key, the block index of each ranked scenario, each block's first
+    ranked key (0.0 and -0.0 tie), the block probabilities summed in rank
+    order, and their ``_law_cdf``. Within a block scenarios rank by
     probability (stable beyond that), so a block's mass is summed in an order
     fixed by its members rather than by their input positions.
     """
@@ -66,7 +72,14 @@ def _rank_blocks(key: np.ndarray, probs: np.ndarray):
     np.not_equal(ranked[1:], ranked[:-1], out=starts[1:])
     block = np.cumsum(starts) - 1
     block_probs = np.bincount(block, weights=probs[order])
-    return order, block, block_probs, _law_cdf(block_probs)
+    return order, block, ranked[starts], block_probs, _law_cdf(block_probs)
+
+
+def _block_weights(cum: np.ndarray, measure: WeightingMeasure) -> np.ndarray:
+    """Distorted mass of each ranked block, from the blocks' cdf cum."""
+    if measure.kind == "beta" and measure.a <= 0.0:
+        raise ValueError("weighted evaluation requires a Beta first parameter > 0")
+    return np.diff(measure.distortion(cum), prepend=0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,12 +95,8 @@ class ScenarioDistribution:
         if values.ndim != 1 or values.size == 0:
             raise ValueError("values must be a nonempty 1-d sequence")
         probs = _scenario_probs(values, probs)
-        if np.any(probs < 0.0):
-            raise ValueError("probabilities must be nonnegative")
-        if abs(float(probs.sum()) - 1.0) > _PROB_TOL:
-            raise ValueError(f"probabilities must sum to 1, got {probs.sum()!r}")
-        if not (np.all(np.isfinite(values)) and np.all(np.isfinite(probs))):
-            raise ValueError("values and probs must be finite")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("values must be finite")
         values = values.copy()
         probs = probs.copy()
         values.flags.writeable = False
@@ -100,10 +109,7 @@ class ScenarioDistribution:
         """(distinct sorted values, their merged probabilities, cumulative)."""
         cached = self._sorted
         if cached is None:
-            order, block, merged_p, cum = _rank_blocks(self.values, self.probs)
-            # each block keeps its first ranked value (0.0 and -0.0 tie)
-            first = np.flatnonzero(np.diff(block, prepend=-1))
-            cached = (self.values[order[first]], merged_p, cum)
+            cached = _rank_blocks(self.values, self.probs)[2:]
             object.__setattr__(self, "_sorted", cached)
         return cached
 
@@ -152,12 +158,8 @@ def weighted_var(dist: ScenarioDistribution, measure: WeightingMeasure) -> float
     Sorts the support, maps cumulative masses through the distortion and
     takes minus the resulting weighted average of values.
     """
-    if measure.kind == "beta" and measure.a <= 0.0:
-        raise ValueError("weighted evaluation requires a Beta first parameter > 0")
     v, _, cum = dist.sorted_support()
-    dist_cum = measure.distortion(cum)
-    weights = np.diff(dist_cum, prepend=0.0)
-    return -_exact_dot(v, weights)
+    return -_exact_dot(v, _block_weights(cum, measure))
 
 
 def _order_stat_mix_cdf(z: np.ndarray, a: int, b: int) -> np.ndarray:

@@ -3,11 +3,12 @@
 With limits imposed on risk contributions to the firm (not on outstanding
 risks) and desks free to trade limit units at market prices, the decentralized
 optimum coincides with the firm's global optimum for any initial limit split.
-This module computes the certificates of that equivalence at a candidate firm
-portfolio: equilibrium prices of the limits (a nonnegative least-squares fit
-of every desk's reward vector to the worst-case asset expectations), a
-zero-sum limit trade matrix making each desk's traded limit feasible, and a
-verification report checking the equilibrium conditions desk by desk.
+This module solves the firm's problem (``solve_firm``) and computes the
+certificates of that equivalence at a candidate firm portfolio: equilibrium
+prices of the limits (a nonnegative least-squares fit of every desk's reward
+vector to the worst-case asset expectations), a zero-sum limit trade matrix
+making each desk's traded limit feasible, and a verification report checking
+the equilibrium conditions desk by desk.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ import numpy as np
 from .contribution import extreme_measure
 from .distortion import WeightingMeasure
 from .errors import InfeasibleError
+from .optimize import OptimizationProblem, RiskLimit, solve_portfolio
 
-__all__ = ["Desk", "FirmInstance", "equilibrium_prices", "limit_trades",
+__all__ = ["Desk", "FirmInstance", "solve_firm", "equilibrium_prices", "limit_trades",
            "verify_equilibrium", "EquilibriumReport"]
 
 # a limit counts as binding once its risk reaches this fraction short of it
@@ -81,6 +83,23 @@ class FirmInstance:
 
     def firm_series(self, holdings: Sequence[np.ndarray]) -> np.ndarray:
         return np.sum([d.panel @ h for d, h in zip(self.desks, holdings)], axis=0)
+
+
+def solve_firm(firm: FirmInstance, max_iter: int = 600):
+    """The firm's optimal portfolio: one solve over every desk's assets side by
+    side under the firm-wide limits, each desk inside its box.
+
+    Returns (solution, holdings): the ``solve_portfolio`` solution and its
+    holdings split into one vector per desk.
+    """
+    stacked = np.hstack([d.panel for d in firm.desks])
+    limits = [RiskLimit(m, float(c), stacked) for m, c in zip(firm.measures, firm.limits)]
+    box = np.vstack([[(-np.inf, np.inf)] * d.rewards.size if d.bounds is None else d.bounds
+                     for d in firm.desks])
+    problem = OptimizationProblem(rewards=np.concatenate([d.rewards for d in firm.desks]),
+                                  limits=limits, probs=firm.probs, bounds=box)
+    sol = solve_portfolio(problem, max_iter=max_iter)
+    return sol, np.split(sol.h, np.cumsum([d.rewards.size for d in firm.desks])[:-1])
 
 
 def _firm_extremes(firm: FirmInstance, holdings):

@@ -380,23 +380,6 @@ class TestAnnounceContrib:
         assert code == 1 and captured.out == ""
         assert f"{ann} was announced without --standardize" in captured.err
 
-    @pytest.mark.parametrize("standardize", [False, True])
-    def test_announce_file_without_the_key_takes_the_flag(self, tmp_path, student_t, capsys,
-                                                          standardize):
-        # files written before announce recorded --standardize
-        firm, trade, flags = student_t
-        extra = ["--standardize"] if standardize else []
-        ann = tmp_path / "a.json"
-        assert run(capsys, ["announce", "--input", firm, "--out", ann] + flags + extra)[0] == 0
-        payload = json.loads(ann.read_text())
-        del payload["standardize"]
-        ann.write_text(json.dumps(payload))
-        code, want = run(capsys, ["contrib", "--input", trade, "--firm", firm] + flags + extra)
-        assert code == 0
-        code, got = run(capsys, ["contrib", "--input", trade, "--announced", ann, "--seed", 3]
-                        + extra)
-        assert code == 0 and got["contribution"] == want["contribution"]
-
     def test_announce_standardize_must_be_a_bool(self, tmp_path, student_t, capsys):
         firm, trade, flags = student_t
         ann = tmp_path / "a.json"
@@ -449,8 +432,8 @@ class TestAnnounceContrib:
         pa = ingest_panel(trade_csv)
         pb = ingest_panel(panel_csv)
         from crm.mc import weighted_contribution_empirical
-        want = weighted_contribution_empirical(pa.series(), pb.series(), None,
-                                               D.tail(0.25))
+        want, _ = weighted_contribution_empirical(pa.series(), pb.series(), None,
+                                                  D.tail(0.25))
         assert rep["contribution"] == pytest.approx(want, abs=1e-12)
 
 
@@ -679,6 +662,10 @@ class TestAnnounceFileChecks:
         err = self.contrib(capsys, *announced, lambda p: p.pop("dates_sha256"))
         assert "ann.json: missing key 'dates_sha256'" in err
 
+    def test_missing_standardize(self, announced, capsys):
+        err = self.contrib(capsys, *announced, lambda p: p.pop("standardize"))
+        assert "ann.json: missing key 'standardize'" in err
+
     @pytest.mark.parametrize("key, value", [("order_beta", 7), ("order_beta", 2.0),
                                             ("trials", "40"), ("draws_per_trial", True)])
     def test_bad_counts_name_the_key(self, announced, capsys, key, value):
@@ -767,6 +754,33 @@ class TestFactorJoint:
         assert [c.shape for c in calls] == [(300, 2)] * 3
         for row in rep["factors"]:
             assert np.isfinite(row["factor_risk"]) and np.isfinite(row["factor_contribution"])
+
+
+class TestRegressionFlag:
+    """--regression is kernel, kernel:BANDWIDTH with a finite bandwidth > 0,
+    or knn:K with an integer K >= 1; anything else exits 1 naming the flag and
+    its text, on both commands that read it."""
+
+    @pytest.mark.parametrize("spec", ["kernel:nan", "kernel:inf", "kernel:0", "kernel:abc",
+                                      "knn:abc", "knn:2.5", "knn:0", "knn:"])
+    @pytest.mark.parametrize("command", ["factor", "optimize"])
+    def test_rejected_naming_the_flag(self, tmp_path, capsys, command, spec):
+        panel, factors = tmp_path / "p.csv", tmp_path / "f.csv"
+        write_panel(panel, ["A"], [[1.0], [-2.0], [0.5], [3.0]])
+        write_panel(factors, ["Y"], [[0.2], [-0.4], [0.1], [0.9]])
+        if command == "factor":
+            argv = ["factor", "--input", panel, "--factors", factors, "--measure", "tail:0.5"]
+        else:
+            rewards, limits = tmp_path / "r.csv", tmp_path / "l.json"
+            rewards.write_text("asset,reward\nA,1.0\n")
+            limits.write_text(json.dumps([{"measure": "tail:0.5", "limit": 1.0,
+                                           "factor": "Y"}]))
+            argv = ["optimize", "--panel", panel, "--rewards", rewards, "--limits", limits,
+                    "--factors", factors, "--seed", 1]
+        code = cli.run_command([str(a) for a in argv + ["--regression", spec]])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith(f"crm: error: --regression {spec}: ")
 
 
 class TestOptimizeCommand:
@@ -1552,6 +1566,68 @@ class TestPanelErrorsNameTheFile:
         assert code == 1 and captured.out == ""
         assert (f"crm: error: {files['trade']}: trade history too short: announce covers "
                 "31 periods, trade has 30\n") == captured.err
+
+
+class TestOneRankingPerCommand:
+    """Each exact command ranks its one series once: the firm (estimate,
+    contrib, allocate's book) or the trade (kappa's own risk)."""
+
+    @pytest.mark.parametrize("command", ["estimate", "allocate", "contrib", "kappa"])
+    def test_rank_blocks_runs_once(self, panel_csv, trade_csv, capsys, monkeypatch,
+                                   command):
+        from crm import contribution, scenario
+        calls = []
+        rank = scenario._rank_blocks
+
+        def counted(*args):
+            calls.append(1)
+            return rank(*args)
+
+        for module in (scenario, contribution):
+            monkeypatch.setattr(module, "_rank_blocks", counted)
+        argv = {"estimate": ["estimate", "--input", panel_csv, "--seed", 1],
+                "allocate": ["allocate", "--input", panel_csv],
+                "contrib": ["contrib", "--input", trade_csv, "--firm", panel_csv,
+                            "--seed", 1],
+                "kappa": ["kappa", "--input", trade_csv, "--firm", panel_csv]}[command]
+        code, _ = run(capsys, argv + ["--measure", "beta:8,2"])
+        assert code == 0 and len(calls) == 1
+
+
+class TestBoundaryErrors:
+    """Inputs that used to fail late, or with a traceback, exit 1 with one
+    `crm: error:` line."""
+
+    @pytest.mark.parametrize("spec", ["tail:nan", "mix:nan@0.5,1@0.5", "beta:inf,1"])
+    @pytest.mark.parametrize("command", ["estimate", "allocate", "kappa"])
+    def test_non_finite_measure_parameters(self, tmp_path, panel_csv, trade_csv, command,
+                                           spec):
+        argv = {"estimate": ["estimate", "--input", panel_csv, "--seed", 1],
+                "allocate": ["allocate", "--input", panel_csv],
+                "kappa": ["kappa", "--input", trade_csv, "--firm", panel_csv]}[command]
+        code, err = run_child(argv + ["--measure", spec], tmp_path)
+        assert code == 1
+        assert err.startswith(f"crm: error: malformed measure spec {spec!r}: ")
+        assert err.count("\n") == 1 and "Warning" not in err
+
+    def test_memory_error_is_one_line(self, tmp_path):
+        # 2e6 trials of 250 draws need gigabytes; the child may map 1 GiB
+        import resource
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        panel = tmp_path / "p.csv"
+        write_panel(panel, ["A"], [[1.0], [-2.0], [0.5], [3.0]])
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "crm.cli", "estimate", "--input", str(panel),
+             "--measure", "beta:250,25", "--trials", "2000000", "--seed", "1"],
+            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
+            capture_output=True, text=True, timeout=120, preexec_fn=limit_memory)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert re.fullmatch(r"crm: error: Unable to allocate \S+ \S+ for an array .*\n",
+                            proc.stderr)
 
 
 class TestStrictEmit:

@@ -7,6 +7,7 @@ import pytest
 
 from crm import contribution as C
 from crm import distortion as D
+from crm import mc as M
 from crm import scenario as S
 
 
@@ -106,7 +107,7 @@ class TestRiskContribution:
 class TestCapitalAllocation:
     def test_single_component_is_total_risk(self):
         w = [1.0, 2.0, -3.0]
-        allocs, residual = C.capital_allocation([w], None, D.tail(0.5))
+        allocs, _, residual = C.capital_allocation([w], None, D.tail(0.5))
         assert allocs[0] == pytest.approx(
             S.weighted_var(S.ScenarioDistribution(w), D.tail(0.5)), abs=1e-12)
         assert residual == pytest.approx(0.0, abs=1e-12)
@@ -116,17 +117,31 @@ class TestCapitalAllocation:
         for m in measure_zoo.values():
             comps = [rng.normal(size=30) for _ in range(5)]
             probs = rng.dirichlet(np.ones(30))
-            _, residual = C.capital_allocation(comps, probs, m)
+            _, _, residual = C.capital_allocation(comps, probs, m)
             assert abs(residual) < 1e-10
 
     def test_comonotone_components_split_standalone(self):
         base = np.array([-2.0, 0.5, 1.0, 3.0])
         comps = [base, np.exp(base)]  # comonotone pair
-        allocs, residual = C.capital_allocation(comps, None, D.beta(5, 2))
+        allocs, _, residual = C.capital_allocation(comps, None, D.beta(5, 2))
         for c, a in zip(comps, allocs):
             assert a == pytest.approx(
                 S.weighted_var(S.ScenarioDistribution(c), D.beta(5, 2)), abs=1e-10)
         assert abs(residual) < 1e-10
+
+
+@pytest.mark.parametrize("probs", [[0.5, 0.25, 0.5], [0.5, 0.75, -0.25],
+                                   [0.5, float("nan"), 0.5]])
+def test_every_exact_call_rejects_probs_that_are_no_law(probs):
+    w, x = [1.0, -2.0, 0.5], [0.0, 1.0, 2.0]
+    calls = [lambda: C.extreme_measure(w, probs, D.tail(0.5)),
+             lambda: C.capital_allocation([w, x], probs, D.tail(0.5)),
+             lambda: C.risk_contribution(x, w, probs, D.tail(0.5)),
+             lambda: M.weighted_contribution_empirical(x, w, probs, D.tail(0.5)),
+             lambda: S.ScenarioDistribution(w, probs)]
+    for call in calls:
+        with pytest.raises(ValueError, match="probabilities must"):
+            call()
 
 
 class TestTailCorrelation:

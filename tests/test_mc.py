@@ -191,7 +191,7 @@ class TestInvariances:
 
 class TestWeightedContributionEmpirical:
     def test_three_point_example(self):
-        got = mc.weighted_contribution_empirical(
+        got, _ = mc.weighted_contribution_empirical(
             [10, 4, -6], [3, -1, 2], None, D.tail(2 / 3))
         assert got == pytest.approx(1.0)
 
@@ -200,15 +200,15 @@ class TestWeightedContributionEmpirical:
         w = rng.normal(size=40)
         probs = rng.dirichlet(np.ones(40))
         for m in (D.tail(0.3), D.beta(6, 2)):
-            got = mc.weighted_contribution_empirical(w, w, probs, m)
+            got, _ = mc.weighted_contribution_empirical(w, w, probs, m)
             want = S.weighted_var(S.ScenarioDistribution(w, probs), m)
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_identity_measure_is_minus_weighted_mean(self):
         x = np.array([1.0, 2.0, 4.0])
         nu = np.array([0.5, 0.25, 0.25])
-        got = mc.weighted_contribution_empirical(x, np.array([9., 8., 7.]), nu,
-                                                 D.mixture([(1.0, 1.0)]))
+        got, _ = mc.weighted_contribution_empirical(x, np.array([9., 8., 7.]), nu,
+                                                    D.mixture([(1.0, 1.0)]))
         assert got == pytest.approx(-float(nu @ x))
 
     def test_tied_reference_values_average_the_block(self):
@@ -216,7 +216,7 @@ class TestWeightedContributionEmpirical:
         x = np.array([0.0, 10.0, -4.0])
         w = np.array([1.0, 1.0, 5.0])
         nu = np.array([0.25, 0.25, 0.5])
-        got = mc.weighted_contribution_empirical(x, w, nu, D.tail(0.5))
+        got, _ = mc.weighted_contribution_empirical(x, w, nu, D.tail(0.5))
         assert got == pytest.approx(-5.0)  # block mean 5.0 takes all tail mass
 
     def test_tie_order_invariance(self):

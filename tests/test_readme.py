@@ -1,6 +1,9 @@
-"""README.md names exactly the flags that the `crm` parser defines."""
+"""README.md names exactly the flags that the `crm` parser defines, every
+module of the package, and a library quick start that runs."""
 
 import argparse
+import contextlib
+import io
 import os
 import re
 
@@ -38,3 +41,13 @@ def test_package_layout_names_every_module():
     assert {"stale in README": sorted(named - modules),
             "missing from README": sorted(modules - named)} == \
         {"stale in README": [], "missing from README": []}
+
+
+def test_library_quick_start_runs():
+    with open(README) as fh:
+        section = fh.read().split("## Library quick start", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md: Library quick start", "exec"), {})
+    assert len(out.getvalue().splitlines()) == code.count("print(")

@@ -40,6 +40,31 @@ def bind_exactly(firm, holdings, measure=None):
     return [h * scale for h in holdings]
 
 
+class TestSolveFirm:
+    def test_symmetric_firm_splits_the_optimum_per_desk(self):
+        # two independent unit Gaussian desks under tail(0.5) <= 1: each holds
+        # 1 / (sqrt(2) * gamma), and the firm's limit binds
+        firm, _, _ = grid_firm(n_per_dim=200)
+        sol, holdings = SH.solve_firm(firm, max_iter=200)
+        assert sol.converged
+        assert [h.shape for h in holdings] == [(1,), (1,)]
+        assert np.concatenate(holdings).tolist() == sol.h.tolist()
+        for h in holdings:
+            assert h[0] == pytest.approx(1.0 / (math.sqrt(2.0) * GM50), rel=5e-3)
+        assert sol.risks[0] == pytest.approx(1.0, rel=1e-6)
+
+    def test_desk_box_bounds_its_holdings(self):
+        firm, _, _ = grid_firm(n_per_dim=200)
+        boxed = SH.FirmInstance(
+            desks=[firm.desks[0], SH.Desk(panel=firm.desks[1].panel, rewards=[1.0],
+                                          bounds=[[-0.1, 0.1]], name="d2")],
+            measures=firm.measures, limits=firm.limits, allocation=firm.allocation,
+            probs=firm.probs)
+        _, holdings = SH.solve_firm(boxed, max_iter=200)
+        assert holdings[1][0] == pytest.approx(0.1)
+        assert holdings[0][0] > 0.1
+
+
 class TestEquilibriumPrices:
     def test_symmetric_optimum_prices_and_residual(self):
         firm, _, _ = grid_firm()
