@@ -15,7 +15,6 @@ fixed arrays without re-estimating.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -32,7 +31,7 @@ from . import sampling as _sampling
 from . import sharing as _sharing
 from .contribution import capital_allocation, tail_correlation
 from .errors import CrmError, DataError
-from .panel import JointPanel, _number, align, ingest_panel
+from .panel import JointPanel, _number, align, ingest_panel, read_rows, read_text
 from .scenario import ScenarioDistribution, tail_var, weighted_var
 
 __all__ = ["main", "run_command"]
@@ -427,8 +426,7 @@ def _cmd_contrib(args) -> dict:
 
 def _contrib_announced(args) -> dict:
     path = args.announced
-    with open(path) as fh:
-        ann = json.load(fh)
+    ann = read_text(path, json.load)
     if not isinstance(ann, dict) or ann.get("schema") != ANNOUNCE_SCHEMA:
         raise DataError(f"{path}: not an announce file")
 
@@ -560,9 +558,8 @@ def _cmd_factor(args) -> dict:
 def _cmd_optimize(args) -> dict:
     _check_solver(args)
     panel = _panel(args.panel)
-    rewards = _read_rewards(args.rewards, panel)
-    with open(args.limits) as fh:
-        spec = json.load(fh)
+    rewards = _read_rewards(args.rewards, panel, args.panel)
+    spec = read_text(args.limits, json.load)
     factors = None
     reg = _parse_regression(args.regression)
     limits, labels = [], {}  # label -> the limit entry that has it
@@ -594,18 +591,26 @@ def _cmd_optimize(args) -> dict:
             "converged": sol.converged, "iterations": sol.iterations}
 
 
-def _read_rewards(path: str, panel: JointPanel) -> np.ndarray:
-    with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and any(c.strip() for c in r)]
+def _read_rewards(path: str, panel: JointPanel, panel_path: str) -> np.ndarray:
+    rows = read_rows(path)
     if not rows or [c.strip() for c in rows[0]] != ["asset", "reward"]:
         raise DataError(f"{path}: expected header 'asset,reward'")
-    # a row without a reward cell reads as a blank one
-    table = {row[0].strip(): _number(row[1] if len(row) > 1 else "", path, r_no, "reward")
-             for r_no, row in enumerate(rows[1:], start=2)}
+    # every cell is checked before any asset; a row without a reward cell
+    # reads as a blank one
+    cells = [(row[0].strip(), r_no, _number(row[1] if len(row) > 1 else "", path, r_no, "reward"))
+             for r_no, row in enumerate(rows[1:], start=2)]
+    table = {}  # asset -> (row number, reward)
+    for asset, r_no, reward in cells:
+        if asset in table:
+            raise DataError(f"{path}: rows {table[asset][0]} and {r_no} both give "
+                            f"asset {asset!r} a reward")
+        if asset not in panel.assets:
+            raise DataError(f"{path}: row {r_no}: asset {asset!r} is not a column of {panel_path}")
+        table[asset] = r_no, reward
     missing = [a for a in panel.assets if a not in table]
     if missing:
         raise DataError(f"{path}: missing rewards for {missing}")
-    return np.array([table[a] for a in panel.assets])
+    return np.array([table[a][1] for a in panel.assets])
 
 
 def _cmd_allocate(args) -> dict:
@@ -628,8 +633,7 @@ def _cmd_kappa(args) -> dict:
 
 def _cmd_equilibrium(args) -> dict:
     _check_solver(args)
-    with open(args.firm) as fh:
-        spec = json.load(fh)
+    spec = read_text(args.firm, json.load)
     base = os.path.dirname(os.path.abspath(args.firm))
     desk_spec = _require(spec, "desks", args.firm)
     limit_spec = _require(spec, "limits", args.firm)

@@ -99,6 +99,53 @@ class PortfolioSolution:
     iterations: int
 
 
+# a multiplier, or a step's approach to a row, below this fraction of the
+# data's scale counts as zero in the LP
+_LP_TOL = 1e-9
+
+
+def _lp_max(c: np.ndarray, a: np.ndarray, b: np.ndarray, bounds: np.ndarray):
+    """A maximizer of c.x subject to a x <= b and lo <= x <= hi, or None when
+    the LP is unbounded. Only the Kelley form: b >= 0 and lo <= 0 <= hi (each
+    may be infinite), so x = 0 is feasible and needs no phase 1.
+
+    A primal active-set method over the d variables. The working set holds d
+    rows: cuts, finite bounds, and free rows e_j that pin x_j at its start 0.
+    Each step inverts that d x d system: its solution is the current point,
+    and its multipliers say which row leaves, a free row whose multiplier is
+    nonzero or a constraint whose multiplier is negative. The ratio test over
+    every other row then picks the row that enters. Bland's rule (the lowest
+    index leaves, the lowest index wins a tied ratio) rules out cycling.
+    """
+    d = c.size
+    lo, hi = bounds.T
+    eye = np.eye(d)
+    g = np.vstack([eye, a, eye[np.isfinite(hi)], -eye[np.isfinite(lo)]])
+    r = np.concatenate([np.zeros(d), b, hi[np.isfinite(hi)], -lo[np.isfinite(lo)]])
+    norms = np.linalg.norm(g, axis=1)
+    basis = np.arange(d)
+    while True:
+        inv = np.linalg.inv(g[basis])
+        x = inv @ r[basis]
+        lam = (c @ inv) * norms[basis]
+        gain = np.where(basis < d, np.abs(lam), -lam)
+        leave = np.flatnonzero(gain > _LP_TOL * np.linalg.norm(c))
+        if not leave.size:
+            # the solve leaves a coordinate on its bound off by rounding
+            return np.clip(x, lo, hi)
+        k = leave[np.argmin(basis[leave])]
+        p = np.sign(lam[k]) * inv[:, k]  # off row k, along every other one
+        gp = g @ p
+        block = gp > _LP_TOL * norms * np.linalg.norm(p)
+        block[:d] = False  # a free row that left never comes back
+        block[basis] = False
+        rows = np.flatnonzero(block)
+        if not rows.size:
+            return None
+        step = np.maximum(r[rows] - g[rows] @ x, 0.0) / gp[rows]
+        basis[k] = rows[np.argmax(step == step.min())]
+
+
 def _ratios_and_cuts(problem: OptimizationProblem, h: np.ndarray):
     """Risk-to-limit ratio of every limit at h, and the cut each one makes
     there: the rows a with a.h <= 1 on the limit, tight along h."""
@@ -135,20 +182,17 @@ def _no_good_deals_check(problem: OptimizationProblem) -> list:
 def _ray_cuts(problem: OptimizationProblem, a: np.ndarray) -> list:
     """Cuts closing the best ray, within the unit cube, of the relaxation
     a.h <= 1 in the box. UnboundedError when no limit sees risk along it."""
-    from scipy.optimize import linprog
-
     cone = np.where(np.isinf(problem.bounds), np.sign(problem.bounds), 0.0)
-    res = linprog(-problem.rewards, A_ub=a, b_ub=np.zeros(len(a)), bounds=cone,
-                  method="highs")
-    if res.status != 0 or not float(problem.rewards @ res.x) > 0.0:
-        raise CrmError(f"cutting-plane LP failed: {res.message}")
-    ratios, cuts = _ratios_and_cuts(problem, res.x)
+    ray = _lp_max(problem.rewards, a, np.zeros(len(a)), cone)
+    if ray is None or not float(problem.rewards @ ray) > 0.0:
+        raise CrmError("cutting-plane LP failed: no ray of the unbounded relaxation gains")
+    ratios, cuts = _ratios_and_cuts(problem, ray)
     # a risk within rounding of zero (relative to the ray's largest scenario
     # P&L) cannot cut the ray off: it counts as nonpositive
-    noise = [1e-12 * np.abs(lim.panel @ res.x).max() / lim.limit
+    noise = [1e-12 * np.abs(lim.panel @ ray).max() / lim.limit
              for lim in problem.limits]
     if np.all(ratios <= noise):
-        raise _no_good_deal(res.x)
+        raise _no_good_deal(ray)
     return [c for c, r, n in zip(cuts, ratios, noise) if r > n]
 
 
@@ -156,15 +200,13 @@ def solve_portfolio(problem: OptimizationProblem, tol: float = 1e-4,
                     max_iter: int = 600) -> PortfolioSolution:
     """Maximize reward subject to all risk limits (and the box, if any).
 
-    Each round solves the LP max e.h over the cuts found so far (HiGHS) and
-    adds the cut of every limit the LP point violates. The LP value bounds
+    Each round solves the LP max e.h over the cuts found so far (``_lp_max``)
+    and adds the cut of every limit the LP point violates. The LP value bounds
     the optimum from above, the LP point scaled back inside the limits from
     below; converged means the two met within tol relative to the upper
     bound before max_iter rounds. A relaxation without a finite optimum is
     cut along a ray instead.
     """
-    from scipy.optimize import linprog
-
     e = problem.rewards
     cuts = _no_good_deals_check(problem)
     best_h, best_f = np.zeros(e.size), 0.0  # zero holdings are always feasible
@@ -173,18 +215,15 @@ def solve_portfolio(problem: OptimizationProblem, tol: float = 1e-4,
     while rounds < max_iter and not converged:
         rounds += 1
         a = np.array(cuts)
-        res = linprog(-e, A_ub=a, b_ub=np.ones(len(a)), bounds=problem.bounds,
-                      method="highs")
-        if res.status != 0:
-            # zero is feasible, so the relaxation is unbounded (HiGHS's
-            # presolve may report that as infeasible)
+        h = _lp_max(e, a, np.ones(len(a)), problem.bounds)
+        if h is None:
             cuts.extend(_ray_cuts(problem, a))
             continue
-        ratios, new = _ratios_and_cuts(problem, res.x)
-        bound = float(e @ res.x)
+        ratios, new = _ratios_and_cuts(problem, h)
+        bound = float(e @ h)
         worst = max(float(ratios.max()), 1.0)
         if bound / worst > best_f:
-            best_h, best_f = res.x / worst, bound / worst
+            best_h, best_f = h / worst, bound / worst
         converged = bound - best_f <= tol * abs(bound)
         cuts.extend(c for c, r in zip(new, ratios) if r > 1.0)
     h_star = best_h

@@ -88,14 +88,27 @@ def align(dates_a, dates_b):
     return np.asarray(ia, dtype=np.int64), np.asarray(ib, dtype=np.int64)
 
 
-def ingest_panel(path) -> JointPanel:
-    """Load a CSV panel; see the module docstring for the expected layout."""
+def read_text(path, read, newline=None):
+    """read(fh) of the UTF-8 file at path (a leading byte-order mark is
+    skipped); an unreadable or undecodable file is a DataError naming it."""
     try:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+        with open(path, encoding="utf-8-sig", newline=newline) as fh:
+            return read(fh)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
-    rows = [r for r in rows if r and any(c.strip() for c in r)]
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from None
+
+
+def read_rows(path) -> list:
+    """The CSV rows of the file at path that hold a nonblank cell."""
+    rows = read_text(path, lambda fh: list(csv.reader(fh)), newline="")
+    return [r for r in rows if r and any(c.strip() for c in r)]
+
+
+def ingest_panel(path) -> JointPanel:
+    """Load a CSV panel; see the module docstring for the expected layout."""
+    rows = read_rows(path)
     if not rows:
         raise DataError(f"{path}: empty file")
     header = [c.strip() for c in rows[0]]
@@ -106,6 +119,8 @@ def ingest_panel(path) -> JointPanel:
         raise DataError(f"{path}: no asset columns")
     column_of = {}
     for col, name in enumerate(header, start=1):
+        if not name:
+            raise DataError(f"{path}: column {col} has a blank name")
         if name in column_of:
             raise DataError(f"{path}: column {name!r} appears twice "
                             f"(columns {column_of[name]} and {col})")

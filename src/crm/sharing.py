@@ -113,6 +113,39 @@ def _desk_worst_means(firm: FirmInstance, extremes):
     return [[ew.weights @ d.panel for d in firm.desks] for ew in extremes]
 
 
+def _nnls(a: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """argmin ||a x - y|| over x >= 0, by Lawson and Hanson's (1974)
+    active-set method.
+
+    The column the residual favours most enters the passive set while that
+    favour exceeds rounding; the least-squares fit on the passive set that
+    drives a weight below zero is cut back to where the first one reaches
+    zero, and that column leaves.
+    """
+    x = np.zeros(a.shape[1])
+    passive = np.zeros(x.size, dtype=bool)
+    tol = 1e-12 * np.linalg.norm(a, axis=0).max(initial=0.0) * np.linalg.norm(y)
+    w = a.T @ y
+    for _ in range(3 * x.size):  # finite in theory; a cap against rounding
+        if not np.any(~passive & (w > tol)):
+            break
+        passive[np.argmax(np.where(passive, -np.inf, w))] = True
+        while True:
+            z = np.zeros(x.size)
+            z[passive] = np.linalg.lstsq(a[:, passive], y, rcond=None)[0]
+            neg = np.flatnonzero(passive & (z <= 0.0))
+            if not neg.size:
+                break
+            ratios = x[neg] / (x[neg] - z[neg])
+            j = np.argmin(ratios)
+            x += ratios[j] * (z - x)
+            x[neg[j]] = 0.0
+            passive &= x > 0.0
+        x = z
+        w = a.T @ (y - a @ x)
+    return x
+
+
 def equilibrium_prices(firm: FirmInstance, holdings):
     """Equilibrium limit prices at the candidate firm portfolio.
 
@@ -131,9 +164,7 @@ def equilibrium_prices(firm: FirmInstance, holdings):
         means = _desk_worst_means(firm, extremes)
         cols = [np.concatenate(means[m]) for m in active]
         a_mat = -np.column_stack(cols)
-        from scipy.optimize import nnls
-
-        sol, _ = nnls(a_mat, e_stack)
+        sol = _nnls(a_mat, e_stack)
         prices[active] = sol
         residual = float(np.max(np.abs(a_mat @ sol - e_stack)))
     else:

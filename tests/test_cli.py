@@ -150,6 +150,16 @@ class TestIngest:
         assert captured.err == (f"crm: error: {path}: column {name!r} appears twice "
                                 f"(columns {columns})\n")
 
+    def test_blank_column_name_names_file_and_column(self, tmp_path, capsys):
+        # was read as an asset named "" and allocated 1.833
+        path = tmp_path / "t.csv"
+        path.write_text("date,,B\n2025-01-01,1.0,2.0\n2025-01-02,-3.0,0.5\n"
+                        "2025-01-03,0.5,-1.0\n")
+        assert cli.run_command(["allocate", "--input", str(path), "--measure", "tail:0.5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"crm: error: {path}: column 2 has a blank name\n"
+
     @pytest.mark.skipif(sys.version_info < (3, 11),
                         reason="date.fromisoformat reads 20200102 from Python 3.11 on")
     def test_same_day_in_two_spellings_rejected(self, tmp_path):
@@ -921,6 +931,11 @@ class TestOptimizeCommand:
         ("asset,reward\nB,1.0\nA,nan\n",
          r"rewards\.csv: row 3, column 'reward': not a finite number"),
         ("asset,reward\nA, \n", r"rewards\.csv: row 2, column 'reward' is blank"),
+        # rows nothing reads: each was dropped, or outvoted, with exit 0
+        ("asset,reward\nA,0.05\nA,0.5\n",
+         r"rewards\.csv: rows 2 and 3 both give asset 'A' a reward$"),
+        ("asset,reward\nA,0.5\nZ,9\n",
+         r"rewards\.csv: row 3: asset 'Z' is not a column of \S+panel\.csv$"),
     ])
     def test_bad_reward_row_names_file_row_and_column(self, tmp_path, capsys,
                                                       rewards, where):
@@ -1751,3 +1766,58 @@ class TestDeterminismAndExitCodes:
         code = cli.run_command(["allocate", "--input", "/nonexistent.csv",
                                 "--measure", "tail:0.5"])
         assert code == 1
+
+
+class TestUtf8Inputs:
+    """Every input is UTF-8: a leading byte-order mark, as spreadsheet "CSV
+    UTF-8" exports write, changes no report, and a file that does not decode
+    is an error naming it."""
+
+    KINDS = {"panel": ("panel.csv", "optimize"), "rewards": ("rewards.csv", "optimize"),
+             "limits": ("limits.json", "optimize"), "firm": ("firm.json", "equilibrium"),
+             "announced": ("ann.json", "contrib")}
+
+    @pytest.fixture()
+    def inputs(self, tmp_path, capsys):
+        rng = np.random.default_rng(8)
+        write_panel(tmp_path / "panel.csv", ["A", "B"], rng.normal(size=(30, 2)).tolist())
+        write_panel(tmp_path / "trade.csv", ["X"], rng.normal(size=(30, 1)).tolist())
+        (tmp_path / "rewards.csv").write_text("asset,reward\nA,0.05\nB,0.03\n")
+        limits = [{"measure": "tail:0.2", "limit": 1.0}]
+        (tmp_path / "limits.json").write_text(json.dumps(limits))
+        (tmp_path / "firm.json").write_text(json.dumps({
+            "desks": [{"panel": "panel.csv", "columns": ["A"], "rewards": [0.05]},
+                      {"panel": "panel.csv", "columns": ["B"], "rewards": [0.03]}],
+            "limits": limits}))
+        code, _ = run(capsys, ["announce", "--input", tmp_path / "panel.csv", "--measure",
+                               "beta:6,2", "--trials", 40, "--seed", 3,
+                               "--out", tmp_path / "ann.json"])
+        assert code == 0
+        return {"optimize": ["optimize", "--panel", tmp_path / "panel.csv", "--rewards",
+                             tmp_path / "rewards.csv", "--limits", tmp_path / "limits.json",
+                             "--seed", 1],
+                "equilibrium": ["equilibrium", "--firm", tmp_path / "firm.json", "--seed", 1],
+                "contrib": ["contrib", "--input", tmp_path / "trade.csv", "--announced",
+                            tmp_path / "ann.json", "--seed", 1]}
+
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_byte_order_mark_changes_no_report(self, tmp_path, capsys, inputs, kind):
+        name, command = self.KINDS[kind]
+        code, plain = run(capsys, inputs[command])
+        assert code == 0
+        path = tmp_path / name
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        code, marked = run(capsys, inputs[command])
+        assert code == 0
+        del plain["timings"], marked["timings"]
+        assert marked == plain
+
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_bytes_that_are_not_utf8_name_the_file(self, tmp_path, capsys, inputs, kind):
+        name, command = self.KINDS[kind]
+        path = tmp_path / name
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        code = cli.run_command([str(a) for a in inputs[command]])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith(f"crm: error: {path}: not UTF-8 text ("), captured.err

@@ -76,3 +76,46 @@ def test_command_loads_no_scipy(tmp_path, argv):
         assert cli.run_command({argv!r}) == 0
     """
     assert scipy_modules_after(code, tmp_path) == []
+
+
+# The solvers: the cutting-plane LP and the price fit are numpy, and a
+# factor-mapped limit on one factor uses the binned 1-D kernel.
+_SOLVERS = {
+    "optimize": ["optimize", "--panel", "panel.csv", "--rewards", "rewards.csv",
+                 "--limits", "limits.json", "--factors", "factors.csv",
+                 "--regression", "kernel", "--seed", "1"],
+    "equilibrium": ["equilibrium", "--firm", "firm.json", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("argv", list(_SOLVERS.values()), ids=list(_SOLVERS))
+def test_solver_loads_no_scipy(tmp_path, argv):
+    code = f"""
+    import contextlib, io, json
+    import numpy as np
+    from crm import cli
+
+    rng = np.random.default_rng(0)
+    for name, cols in (("panel.csv", ["A", "B", "C"]), ("factors.csv", ["F"])):
+        rows = rng.standard_t(5, size=(200, len(cols))) + 0.05
+        with open(name, "w") as fh:
+            fh.write("date," + ",".join(cols) + "\\n")
+            for i, row in enumerate(rows):
+                day = np.datetime64("2025-01-01") + i
+                fh.write(f"{{day}}," + ",".join(repr(float(v)) for v in row) + "\\n")
+    with open("rewards.csv", "w") as fh:
+        fh.write("asset,reward\\nA,0.05\\nB,0.03\\nC,0.04\\n")
+    mix = "mix:0.5@0.01,0.5@0.1"
+    with open("limits.json", "w") as fh:
+        json.dump([{{"measure": "tail:0.05", "limit": 2.0}}, {{"measure": mix, "limit": 2.5}},
+                   {{"measure": "tail:0.1", "limit": 1.0, "factor": "F"}}], fh)
+    with open("firm.json", "w") as fh:
+        json.dump({{"desks": [{{"panel": "panel.csv", "columns": ["A", "B"],
+                                "rewards": [0.05, 0.03]}},
+                               {{"panel": "panel.csv", "columns": ["C"], "rewards": [0.04]}}],
+                    "limits": [{{"measure": "tail:0.05", "limit": 2.0}},
+                               {{"measure": mix, "limit": 2.5}}]}}, fh)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run_command({argv!r}) == 0
+    """
+    assert scipy_modules_after(code, tmp_path) == []

@@ -8,6 +8,8 @@ with O(T) variables and no cutting planes, so it checks the optimum that
 ``solve_portfolio`` reaches through the extreme-measure cuts.
 """
 
+import tracemalloc
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -152,3 +154,73 @@ def test_unbounded_relaxation_is_cut_not_raised():
     sol = O.solve_portfolio(problem, tol=TOL)
     assert sol.converged
     assert abs(sol.objective - reference_optimum(problem)) <= TOL * sol.objective
+
+
+@st.composite
+def kelley_lps(draw):
+    """max c.x over a x <= b in a box around 0: b in {0, 1}, each bound
+    infinite, finite or 0, and some rows repeated, zero or parallel."""
+    d = draw(st.integers(1, 6))
+    m = draw(st.integers(0, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.normal(size=(m, d))
+    if draw(st.booleans()):
+        a = np.round(a)  # ties in the ratio test, zero entries
+    src, dst = rng.integers(0, max(m, 1), size=(2, m // 3))
+    kind = draw(st.sampled_from(["plain", "repeated", "zero", "parallel"]))
+    if kind == "repeated":
+        a[dst] = a[src]
+    elif kind == "zero":
+        a[dst] = 0.0
+    elif kind == "parallel":
+        a[dst] = a[src] * rng.uniform(0.1, 3.0, size=(dst.size, 1))
+    b = rng.integers(0, 2, size=m).astype(float)
+    edges = np.array([np.inf, 1.0, 0.0])[rng.integers(0, 3, size=(d, 2))]
+    bounds = edges * rng.uniform(0.1, 2.0, size=(d, 2)) * [-1.0, 1.0]
+    c = rng.normal(size=d)
+    return (np.round(c) if draw(st.booleans()) and np.any(np.round(c)) else c), a, b, bounds
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(kelley_lps())
+def test_lp_matches_highs(lp):
+    from scipy.optimize import linprog
+
+    c, a, b, bounds = lp
+    res = linprog(-c, A_ub=a if b.size else None, b_ub=b if b.size else None,
+                  bounds=bounds, method="highs")
+    x = O._lp_max(c, a, b, bounds)
+    if res.status in (2, 3):  # as in reference_optimum: x = 0 is feasible
+        assert x is None
+        return
+    assert res.status == 0, res.message
+    assert x is not None
+    want = -res.fun
+    assert abs(c @ x - want) <= 1e-9 * max(1.0, abs(want))
+    assert np.all(a @ x <= b + 1e-9)
+    assert np.all((bounds[:, 0] <= x) & (x <= bounds[:, 1]))
+
+
+def test_lp_does_not_cycle_on_beales_example():
+    # Beale (1955): the largest-coefficient rule cycles here without reaching
+    # the optimum 5/4 at x = (1, 0, 1, 0)
+    c = np.array([0.75, -20.0, 0.5, -6.0])
+    a = np.array([[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]])
+    x = O._lp_max(c, a, np.array([0.0, 0.0, 1.0]), np.tile([0.0, np.inf], (4, 1)))
+    np.testing.assert_allclose(x, [1.0, 0.0, 1.0, 0.0], atol=1e-12)
+    assert abs(c @ x - 1.25) <= 1e-12
+
+
+def test_lp_memory_is_linear_in_the_rows():
+    rng = np.random.default_rng(3)
+    m, d = 4000, 10
+    a = rng.normal(size=(m, d))
+    b = np.ones(m)
+    tracemalloc.start()
+    try:
+        x = O._lp_max(rng.normal(size=d), a, b, np.tile([-np.inf, np.inf], (d, 1)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x is not None and np.all(a @ x <= b + 1e-9)
+    assert peak < 5e6  # an m x m tableau alone would take 128 MB

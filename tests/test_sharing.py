@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crm import distortion as D
 from crm import scenario as S
@@ -285,3 +287,30 @@ class TestValidation:
             SH.FirmInstance(desks=[firm.desks[0], bad], measures=firm.measures,
                             limits=np.array([1.0]),
                             allocation=np.array([[0.5], [0.5]]), probs=probs)
+
+
+@st.composite
+def nnls_problems(draw):
+    m = draw(st.integers(1, 30))
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.normal(size=(m, n))
+    if draw(st.booleans()):
+        a[:, rng.integers(0, n)] = 0.0
+    if draw(st.booleans()):
+        a[:, rng.integers(0, n)] = a[:, rng.integers(0, n)]
+    return a, rng.normal(size=m) * 10.0 ** draw(st.integers(-3, 3))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(nnls_problems())
+def test_nnls_matches_scipy(problem):
+    from scipy.optimize import nnls
+
+    a, y = problem
+    want, rnorm = nnls(a, y)
+    got = SH._nnls(a, y)
+    assert np.all(got >= 0.0)
+    assert abs(np.linalg.norm(a @ got - y) - rnorm) <= 1e-12 * max(rnorm, np.linalg.norm(y))
+    if a.shape[0] >= a.shape[1] and np.linalg.matrix_rank(a) == a.shape[1]:
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9 * np.abs(want).max())

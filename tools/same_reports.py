@@ -9,13 +9,17 @@ runs as a ``python -m crm.cli`` child of each tree (``PYTHONPATH=<tree>/src``)
 in that tree's own copy of the inputs. A command prints ``same`` when its exit
 code, its stdout with the ``timings`` value blanked, and every file it writes
 (``--out``) are byte-identical in the two trees, else ``DIFF`` and where the
-texts first part. The crmbench used is the one beside this script; it is only
-read. Exits 1 when any command differs.
+texts first part. When both stdouts parse as JSON with the same key paths, a
+``DIFF`` also gives the largest relative difference over their numbers, with
+its key path, and every key path whose other value differs. The crmbench used
+is the one beside this script; it is only read. Exits 1 when any command
+differs.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import re
 import shutil
@@ -51,6 +55,44 @@ def _first_difference(a, b) -> str:
     return f"byte {at} of {len(a)} / {len(b)}: {a[at:at + 40]!r} vs {b[at:at + 40]!r}"
 
 
+def _leaves(value, path=""):
+    """(key path, value) of every leaf of a parsed JSON value."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaves(item, f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _leaves(item, f"{path}[{i}]")
+    else:
+        yield path, value
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _json_difference(a: bytes, b: bytes) -> list:
+    """How two JSON texts with the same key paths differ: the largest relative
+    difference over their numbers, and every key path whose other value
+    differs. Empty when either text is not JSON or their key paths differ."""
+    try:
+        la, lb = (dict(_leaves(json.loads(text))) for text in (a, b))
+    except ValueError:
+        return []
+    if la.keys() != lb.keys():
+        return []
+    changed = [k for k in la if la[k] != lb[k]]
+    numbers = [k for k in changed if _is_number(la[k]) and _is_number(lb[k])]
+    others = [k for k in changed if k not in numbers]
+    lines = []
+    if numbers:
+        rel, key = max((abs(la[k] - lb[k]) / max(abs(la[k]), abs(lb[k])), k) for k in numbers)
+        lines.append(f"largest relative difference {rel:.3g} at {key}: {la[key]!r} vs {lb[key]!r}")
+    if others:
+        lines.append("other values differ at " + ", ".join(others))
+    return lines
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", help="source tree of the parent commit (holds src/crm)")
@@ -82,6 +124,8 @@ def main(argv=None) -> int:
                             for tree, work in zip(trees, works))
                     diffs = [f"{key}: {_first_difference(a[key], b[key])}"
                              for key in a if a[key] != b[key]]
+                    if a["stdout"] != b["stdout"]:
+                        diffs += _json_difference(a["stdout"], b["stdout"])
                     differ += bool(diffs)
                     line = f"{'DIFF' if diffs else 'same'}  {workload} seed={seed} {cmd.name}"
                     if not diffs and a["exit"]:
