@@ -28,6 +28,7 @@ _KERNEL_NEIGHBORS = 256
 _BINS_1D = 2048
 # query rows per prediction block: the weight block, not T, sets peak memory
 _BLOCK_ROWS = 128
+_LEAF = 16  # leaves of the neighbour search hold fewer than 2 * _LEAF points
 
 
 def _as_factor_matrix(y) -> np.ndarray:
@@ -69,28 +70,110 @@ class _Targets:
         return out[0] if self._single else np.ascontiguousarray(out.T)
 
 
+def _sq_gap(lo, hi, qlo, qhi) -> np.ndarray:
+    """Squared distances between boxes (dimensions last), summed as _sq_dist sums:
+    rounding is monotone, so none exceeds that of two points in the boxes."""
+    gap = np.maximum(np.maximum(lo - qhi, qlo - hi), 0.0)
+    return sum(gap[..., j] ** 2 for j in range(gap.shape[-1]))
+
+
+class _Neighbours:
+    """Exact k nearest neighbours on a balanced k-d partition (Friedman, Bentley
+    & Finkel 1977) built level by level: each node splits its run of points at
+    the median of its widest dimension, and leaves hold fewer than 2 * _LEAF.
+    The k nearest are the first k by (squared distance, index)."""
+
+    def __init__(self, points: np.ndarray):
+        if not np.all(np.isfinite(points)):
+            raise ValueError("factor observations must be finite")
+        t = points.shape[0]
+        self._p, self._perm = points, np.arange(t)
+        self._bounds, self._boxes, self._dims, self._splits = [np.array([0, t])], [], [], []
+        while True:
+            b, run = self._bounds[-1], points[self._perm]
+            self._boxes.append((np.minimum.reduceat(run, b[:-1]),
+                                np.maximum.reduceat(run, b[:-1])))
+            if np.diff(b).max() < 2 * _LEAF:
+                break
+            lo, hi = self._boxes[-1]
+            self._dims.append((hi - lo).argmax(axis=1))
+            mids = (b[:-1] + b[1:]) // 2
+            for a, mid, z, d in zip(b[:-1], mids, b[1:], self._dims[-1]):
+                seg = self._perm[a:z]
+                self._perm[a:z] = seg[np.argpartition(points[seg, d], mid - a)]
+            self._splits.append(points[self._perm[mids], self._dims[-1]])
+            self._bounds.append(np.insert(b, np.arange(1, b.size), mids))
+
+    def _sq_dist(self, q: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """Squared distances from q to the points idx, the dimensions summed in
+        order, as scipy's k-d tree sums up to 7 of them: its bits exactly."""
+        p = self._p[idx]
+        return sum((q[:, None, j] - p[None, :, j]) ** 2 for j in range(q.shape[1]))
+
+    def groups(self, q: np.ndarray, k: int):
+        """(rows, squared distances, indices) for groups of at most
+        2 * _LEAF - 1 query rows, each row's k nearest ascending."""
+        if not np.all(np.isfinite(q)):
+            raise ValueError("queries must be finite")
+        leaf = np.zeros(q.shape[0], dtype=np.intp)
+        for dims, splits in zip(self._dims, self._splits):
+            leaf = 2 * leaf + (q[np.arange(q.shape[0]), dims[leaf]] >= splits[leaf])
+        # a query's k-th distance within the deepest ancestor of its leaf that
+        # holds k points bounds its k-th nearest
+        level = max(i for i, b in enumerate(self._bounds) if np.diff(b).min() >= k)
+        anc, shift = self._bounds[level], len(self._dims) - level
+        order = np.argsort(leaf, kind="stable")
+        starts = np.flatnonzero(np.diff(leaf[order], prepend=-1))
+        for a, z in zip(starts, np.append(starts[1:], order.size)):
+            node = leaf[order[a]] >> shift
+            for lo in range(a, z, 2 * _LEAF - 1):
+                rows = order[lo:min(lo + 2 * _LEAF - 1, z)]
+                bound = np.partition(self._sq_dist(q[rows], self._perm[anc[node]:anc[node + 1]]),
+                                     k - 1, axis=1)[:, k - 1]
+                yield (rows,) + self._nearest(q[rows], bound, k)
+
+    def _nearest(self, q: np.ndarray, bound: np.ndarray, k: int):
+        # the nodes halfway down, then their leaves, within the largest bound of
+        # the queries' box; then the leaves within some query's own bound of it
+        half = len(self._dims) // 2
+        per, qbox = 1 << (len(self._dims) - half), (q.min(axis=0), q.max(axis=0))
+        near = np.flatnonzero(_sq_gap(*self._boxes[half], *qbox) <= bound.max())
+        near = (near[:, None] * per + np.arange(per)).ravel()
+        lo, hi = self._boxes[-1]
+        near = near[_sq_gap(lo[near], hi[near], *qbox) <= bound.max()]
+        near = near[(_sq_gap(lo[near], hi[near], q[:, None], q[:, None])
+                     <= bound[:, None]).any(axis=0)]
+        b = self._bounds[-1]
+        cand = np.sort(np.concatenate([self._perm[b[i]:b[i + 1]] for i in near]))
+        d2 = self._sq_dist(q, cand)
+        take = d2 <= np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+        # with ties at the k-th distance, the lowest indices stay
+        cols = (np.argsort(d2, axis=1, kind="stable")[:, :k] if np.any(take.sum(axis=1) > k)
+                else np.nonzero(take)[1].reshape(-1, k))
+        d2 = np.take_along_axis(d2, cols, axis=1)
+        order = np.argsort(d2, axis=1, kind="stable")
+        return (np.take_along_axis(d2, order, axis=1),
+                cand[np.take_along_axis(cols, order, axis=1)])
+
+
 class KNearestRegressor(_Targets):
-    """Mean of the targets at the k nearest fitted factor points; one tree
-    query serves every target."""
+    """Mean of the targets at the k nearest fitted factor points; one
+    neighbour search serves every target."""
 
     def __init__(self, y: np.ndarray, x: np.ndarray, k: int):
         if k < 1:
             raise ValueError("k must be >= 1")
-        from scipy.spatial import cKDTree
-
         super().__init__(x)
         self.k = min(k, y.shape[0])
-        self._tree = cKDTree(y)
+        self._search = _Neighbours(y)
 
     def predict(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=float)
         if y.ndim == 1:
             y = y[:, None]
         out = np.empty((self._x.shape[0], y.shape[0]))
-        for s in _blocks(y.shape[0]):
-            _, idx = self._tree.query(y[s], k=self.k)
-            near = np.take(self._x, idx, axis=1)
-            out[:, s] = near if self.k == 1 else near.mean(axis=2)
+        for rows, _, idx in self._search.groups(y, self.k):
+            out[:, rows] = np.take(self._x, idx, axis=1).mean(axis=2)
         return self._shaped(out)
 
 
@@ -100,8 +183,8 @@ class KernelRegressor(_Targets):
     One-dimensional factors use the standard binned fast path: the counts and
     every target's sums share one bin table, so each block of query rows
     takes one exp and one matrix product. Higher dimensions evaluate exact
-    Gaussian weights on a KD-tree-truncated neighbourhood, one tree query per
-    block for all targets. Degenerate (zero-spread) factors fall back to the
+    Gaussian weights on the _KERNEL_NEIGHBORS nearest samples, one neighbour
+    search for all targets. Degenerate (zero-spread) factors fall back to the
     global mean; queries far outside the data collapse to the nearest sample.
     """
 
@@ -111,8 +194,8 @@ class KernelRegressor(_Targets):
             h = _silverman_bandwidths(y)
         else:
             h = np.broadcast_to(np.asarray(bandwidth, dtype=float), (m,)).copy()
-            if np.any(h <= 0.0):
-                raise ValueError("bandwidth must be > 0")
+            if not np.all(np.isfinite(h) & (h > 0.0)):
+                raise ValueError("bandwidth must be finite and > 0")
         super().__init__(x)
         x = self._x
         # constant targets reproduce exactly (downstream ranking relies on it)
@@ -135,9 +218,7 @@ class KernelRegressor(_Targets):
                                    + [np.bincount(which, weights=row, minlength=nb)
                                       for row in x], dtype=float)
         else:
-            from scipy.spatial import cKDTree
-
-            self._tree = cKDTree(y / self._h)
+            self._search = _Neighbours(y / self._h)
 
     def predict(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=float)
@@ -146,11 +227,18 @@ class KernelRegressor(_Targets):
         if self._degenerate:
             return self._shaped(np.repeat(self._mean[:, None], y.shape[0], axis=1))
         out = np.empty((self._x.shape[0], y.shape[0]))
-        for s in _blocks(y.shape[0]):
-            if self._m == 1:
+        if self._m == 1:
+            for s in _blocks(y.shape[0]):
                 out[:, s] = self._predict_1d(y[s, 0])
-            else:
-                out[:, s] = self._predict_nd(y[s])
+        else:
+            k = min(_KERNEL_NEIGHBORS, self._x.shape[1])
+            for rows, d2, idx in self._search.groups(y / self._h, k):
+                dist = np.sqrt(d2)
+                logw = -0.5 * dist * dist
+                logw -= logw.max(axis=1, keepdims=True)
+                wgt = np.exp(logw)
+                out[:, rows] = ((wgt * np.take(self._x, idx, axis=1)).sum(axis=2)
+                                / wgt.sum(axis=1))
         out[self._const] = self._mean[self._const, None]
         return self._shaped(out)
 
@@ -171,14 +259,6 @@ class KernelRegressor(_Targets):
             out[:, ~ok] = vals[:, nearest]
         return out
 
-    def _predict_nd(self, q: np.ndarray) -> np.ndarray:
-        k = min(_KERNEL_NEIGHBORS, self._tree.n)
-        dist, idx = self._tree.query(q / self._h, k=k)
-        logw = -0.5 * dist * dist
-        logw -= logw.max(axis=1, keepdims=True)
-        wgt = np.exp(logw)
-        return (wgt * np.take(self._x, idx, axis=1)).sum(axis=2) / wgt.sum(axis=1)
-
 
 def fit_conditional_mean(y, x, method: str, *, bandwidth=None, k: Optional[int] = None):
     """Fit a conditional-mean regressor of x on the factor sample y.
@@ -197,7 +277,7 @@ def fit_conditional_mean(y, x, method: str, *, bandwidth=None, k: Optional[int] 
         return KernelRegressor(y, x, bandwidth=bandwidth)
     if method == "knn":
         if k is None:
-            k = max(5, int(round(y.shape[0] ** (4.0 / (4.0 + y.shape[1])) ** 0.5)))
+            k = max(5, int(round((y.shape[0] ** (4.0 / (4.0 + y.shape[1]))) ** 0.5)))
             k = min(k, max(2, y.shape[0] // 10)) or 1
         return KNearestRegressor(y, x, k)
     raise ValueError(f"unknown regression method {method!r}")

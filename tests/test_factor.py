@@ -84,6 +84,39 @@ class TestRegression:
             tracemalloc.stop()
         assert peak < 40e6
 
+    def test_nd_predict_memory_is_set_by_the_group_not_t(self):
+        # a dense T x T float64 distance matrix would be 3.2 GB at T = 20,000
+        rng = np.random.default_rng(19)
+        y = rng.normal(size=(20_000, 2))
+        reg = F.fit_conditional_mean(y, rng.normal(size=(20_000, 2)), "kernel")
+        tracemalloc.start()
+        try:
+            reg.predict(y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
+
+    @pytest.mark.parametrize("bandwidth", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_bandwidth_must_be_finite_and_positive(self, bandwidth):
+        y = np.random.default_rng(20).normal(size=200)
+        with pytest.raises(ValueError, match="finite and > 0"):
+            F.fit_conditional_mean(y, y, "kernel", bandwidth=bandwidth)
+
+    @pytest.mark.parametrize("t, m, k", [(100, 1, 6), (2_500, 1, 23), (2_500, 2, 14),
+                                         (50, 5, 5)])
+    def test_default_knn_count_follows_t_and_dimension(self, t, m, k):
+        # round(sqrt(T ** (4 / (4 + m)))), at least 5 and at most max(2, T // 10)
+        y = np.random.default_rng(21).normal(size=(t, m))
+        assert F.fit_conditional_mean(y, y[:, 0], "knn").k == k
+
+    def test_knn_ties_keep_the_lowest_indices(self):
+        # sixteen samples tie at distance 1 from the query 0.0: k = 2 keeps the
+        # sample at 0.0 and row 1, the first of them (cKDTree picks row 15)
+        y = np.array([0.0] + [1.0, -1.0] * 8)
+        reg = F.fit_conditional_mean(y, np.arange(17.0), "knn", k=2)
+        assert reg.predict(np.array([[0.0]]))[0] == 0.5
+
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
             F.fit_conditional_mean(np.array([1.0]), np.array([1.0]), "kernel")

@@ -2,11 +2,13 @@
 
 The reference fits one target at a time. In one dimension it builds the full
 queries x bins Gaussian weight matrix and sums it twice per target; in more
-dimensions, and for k-nearest neighbours, it queries the KD-tree once per
-target. The regressors in ``crm.factor`` share one bin table or one tree
-query among all n targets and predict in blocks of query rows, so these
-tests cross block boundaries and check every target column against its own
-reference fit.
+dimensions, and for k-nearest neighbours, it picks each query's neighbours
+from the dense queries x T distance matrix, ordered by (squared distance,
+index). The regressors in ``crm.factor`` share one bin table or one
+neighbour search among all n targets and predict in blocks or groups of
+query rows, so these tests cross block and leaf boundaries and check every
+target column against its own reference fit. The neighbour search itself is
+checked against scipy's ``cKDTree``.
 """
 
 import numpy as np
@@ -18,6 +20,14 @@ from crm import factor as F
 
 TOL = 1e-12
 BLOCK = F._BLOCK_ROWS
+
+
+def brute_nearest(y, q, k):
+    """Squared distances and indices of the k nearest factor points of each
+    query, ordered by (squared distance, index), from the dense matrix."""
+    d2 = sum((q[:, None, j] - y[None, :, j]) ** 2 for j in range(y.shape[1]))
+    idx = np.array([np.lexsort((np.arange(y.shape[0]), row))[:k] for row in d2])
+    return np.take_along_axis(d2, idx, axis=1), idx
 
 
 def _bandwidths(y, bandwidth):
@@ -36,8 +46,8 @@ def reference_kernel(y, x, q, bandwidth=None):
     if np.any(h <= 0.0):
         return np.full(q.shape[0], x.mean())
     if m > 1:
-        tree = cKDTree(y / h)
-        dist, idx = tree.query(q / h, k=min(F._KERNEL_NEIGHBORS, t))
+        d2, idx = brute_nearest(y / h, q / h, min(F._KERNEL_NEIGHBORS, t))
+        dist = np.sqrt(d2)
         logw = -0.5 * dist * dist
         logw -= logw.max(axis=1, keepdims=True)
         wgt = np.exp(logw)
@@ -66,9 +76,8 @@ def reference_kernel(y, x, q, bandwidth=None):
 
 def reference_knn(y, x, q, k):
     """Mean of one target x (T,) at the k nearest factor points of each query."""
-    k = min(k, y.shape[0])
-    _, idx = cKDTree(y).query(q, k=k)
-    return x[idx] if k == 1 else x[idx].mean(axis=1)
+    _, idx = brute_nearest(y, q, min(k, y.shape[0]))
+    return x[idx].mean(axis=1)
 
 
 @st.composite
@@ -140,3 +149,46 @@ def test_one_target_keeps_its_shape(case, method):
     assert one.shape == (q.shape[0],)
     _check_columns(F.fit_conditional_mean(y, x, method).predict(q)[:, :1], x[:, :1],
                    lambda j: one)
+
+
+def search(y, q, k):
+    """Every query row's k nearest from the search's groups, each row once."""
+    d2, idx = np.full((q.shape[0], k), np.nan), np.full((q.shape[0], k), -1)
+    for rows, d, i in F._Neighbours(y).groups(q, k):
+        assert rows.size <= 2 * F._LEAF - 1
+        assert np.all(idx[rows] == -1)
+        d2[rows], idx[rows] = d, i
+    assert np.all(idx >= 0)
+    return d2, idx
+
+
+@st.composite
+def search_cases(draw):
+    """(factor sample y, queries q, k): Student-t samples, or rounded ones
+    full of ties; queries in the sample, in its gaps, repeated and far out."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 5))
+    t = draw(st.sampled_from([1, 2, 15, 16, 31, 32, 33, 200, 1000]))
+    k = draw(st.integers(1, t))
+    y = rng.standard_t(4, size=(t, m))
+    if draw(st.booleans()):
+        y = np.round(y)
+    gaps = rng.uniform(y.min(axis=0) - 1.0, y.max(axis=0) + 1.0, (25, m))
+    q = np.vstack([y, gaps, y[:3], gaps[:3], [[1e6] * m], [[-1e6] * m]])
+    return y, q, k
+
+
+@given(search_cases())
+@settings(max_examples=150, deadline=None)
+def test_search_matches_ckdtree(case):
+    y, q, k = case
+    d2, idx = search(y, q, k)
+    dist, want = cKDTree(y).query(q, k=k)
+    assert np.array_equal(np.sqrt(d2), dist.reshape(d2.shape))
+    # the tie rule: the first k by (squared distance, index)
+    assert np.array_equal(idx, brute_nearest(y, q, k)[1])
+    # where no two of the k + 1 nearest tie, cKDTree picks the same points
+    near = np.sort(sum((q[:, None, j] - y[None, :, j]) ** 2 for j in range(y.shape[1])),
+                   axis=1)[:, :k + 1]
+    free = np.all(np.diff(near, axis=1) > 0.0, axis=1)
+    assert np.array_equal(idx[free], want.reshape(idx.shape)[free])

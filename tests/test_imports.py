@@ -78,12 +78,19 @@ def test_command_loads_no_scipy(tmp_path, argv):
     assert scipy_modules_after(code, tmp_path) == []
 
 
-# The solvers: the cutting-plane LP and the price fit are numpy, and a
-# factor-mapped limit on one factor uses the binned 1-D kernel.
+# The solvers: the cutting-plane LP and the price fit are numpy; a
+# factor-mapped limit on one factor uses the binned 1-D kernel or, under
+# knn:K, the numpy neighbour search. So do `factor`'s joint fits.
+_OPTIMIZE = ["optimize", "--panel", "panel.csv", "--rewards", "rewards.csv",
+             "--limits", "limits.json", "--factors", "factors.csv", "--seed", "1"]
+_FACTOR = ["factor", "--input", "panel.csv", "--columns", "A,B", "--factors", "factors.csv",
+           "--measure", "tail:0.1", "--joint"]
 _SOLVERS = {
-    "optimize": ["optimize", "--panel", "panel.csv", "--rewards", "rewards.csv",
-                 "--limits", "limits.json", "--factors", "factors.csv",
-                 "--regression", "kernel", "--seed", "1"],
+    "optimize": _OPTIMIZE + ["--regression", "kernel"],
+    "optimize-knn": _OPTIMIZE + ["--regression", "knn:5"],
+    "factor-kernel-joint": _FACTOR + ["--regression", "kernel", "--trade", "panel.csv",
+                                      "--trade-columns", "C"],
+    "factor-knn-joint": _FACTOR + ["--regression", "knn:5"],
     "equilibrium": ["equilibrium", "--firm", "firm.json", "--seed", "1"],
 }
 
@@ -96,7 +103,7 @@ def test_solver_loads_no_scipy(tmp_path, argv):
     from crm import cli
 
     rng = np.random.default_rng(0)
-    for name, cols in (("panel.csv", ["A", "B", "C"]), ("factors.csv", ["F"])):
+    for name, cols in (("panel.csv", ["A", "B", "C"]), ("factors.csv", ["F", "G"])):
         rows = rng.standard_t(5, size=(200, len(cols))) + 0.05
         with open(name, "w") as fh:
             fh.write("date," + ",".join(cols) + "\\n")
