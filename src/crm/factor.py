@@ -119,8 +119,9 @@ class _Neighbours:
         for dims, splits in zip(self._dims, self._splits):
             leaf = 2 * leaf + (q[np.arange(q.shape[0]), dims[leaf]] >= splits[leaf])
         # a query's k-th distance within the deepest ancestor of its leaf that
-        # holds k points bounds its k-th nearest
-        level = max(i for i, b in enumerate(self._bounds) if np.diff(b).min() >= k)
+        # holds 2k points bounds its k-th nearest
+        level = max((i for i, b in enumerate(self._bounds) if np.diff(b).min() >= 2 * k),
+                    default=0)
         anc, shift = self._bounds[level], len(self._dims) - level
         order = np.argsort(leaf, kind="stable")
         starts = np.flatnonzero(np.diff(leaf[order], prepend=-1))
@@ -147,13 +148,18 @@ class _Neighbours:
         cand = np.sort(np.concatenate([self._perm[b[i]:b[i + 1]] for i in near]))
         d2 = self._sq_dist(q, cand)
         take = d2 <= np.partition(d2, k - 1, axis=1)[:, k - 1:k]
-        # with ties at the k-th distance, the lowest indices stay
-        cols = (np.argsort(d2, axis=1, kind="stable")[:, :k] if np.any(take.sum(axis=1) > k)
-                else np.nonzero(take)[1].reshape(-1, k))
-        d2 = np.take_along_axis(d2, cols, axis=1)
-        order = np.argsort(d2, axis=1, kind="stable")
-        return (np.take_along_axis(d2, order, axis=1),
-                cand[np.take_along_axis(cols, order, axis=1)])
+        if np.any(np.count_nonzero(take, axis=1) > k):
+            # ties at the k-th distance: the lowest indices stay
+            cols = np.argsort(d2, axis=1, kind="stable")[:, :k]
+            return np.take_along_axis(d2, cols, axis=1), cand[cols]
+        # flat indices: a 2-D nonzero costs several times more
+        flat = np.flatnonzero(take).reshape(-1, k)
+        d2, cols = d2.ravel()[flat], flat % d2.shape[1]
+        ascending, order = np.sort(d2, axis=1), np.argsort(d2, axis=1)
+        # cols ascend, so a stable sort puts tied distances in index order
+        tied = np.any(ascending[:, 1:] == ascending[:, :-1], axis=1)
+        order[tied] = np.argsort(d2[tied], axis=1, kind="stable")
+        return ascending, cand[np.take_along_axis(cols, order, axis=1)]
 
 
 class KNearestRegressor(_Targets):
@@ -181,42 +187,52 @@ class KernelRegressor(_Targets):
     """Gaussian-kernel conditional mean with Silverman bandwidths per dimension.
 
     One-dimensional factors use the standard binned fast path: the counts and
-    every target's sums share one bin table, so each block of query rows
-    takes one exp and one matrix product. Higher dimensions evaluate exact
+    every target's sums share one table of the occupied bins, so each block
+    of query rows takes one exp and one matrix product, each query's weights
+    scaled by its largest on an occupied bin. So a query far outside the data
+    takes, in practice, the nearest occupied bin's mean, and one inside a gap
+    between occupied bins weighs both sides against the nearer, however wide
+    the gap; a bandwidth so small that every scaled distance overflows gives
+    the nearest occupied bin's mean. Higher dimensions evaluate exact
     Gaussian weights on the _KERNEL_NEIGHBORS nearest samples, one neighbour
-    search for all targets. Degenerate (zero-spread) factors fall back to the
-    global mean; queries far outside the data collapse to the nearest sample.
+    search for all targets. Constant factor columns are left out of the fit;
+    if every column is constant, the fit is the global mean.
     """
 
     def __init__(self, y: np.ndarray, x: np.ndarray, bandwidth=None):
         t, m = y.shape
-        if bandwidth is None:
-            h = _silverman_bandwidths(y)
-        else:
-            h = np.broadcast_to(np.asarray(bandwidth, dtype=float), (m,)).copy()
+        if bandwidth is not None:
+            h = np.broadcast_to(np.asarray(bandwidth, dtype=float), (m,))
             if not np.all(np.isfinite(h) & (h > 0.0)):
                 raise ValueError("bandwidth must be finite and > 0")
+        # a constant factor column tells the samples apart nowhere: fit on the rest
+        self._spread = np.any(y != y[:1], axis=0)
+        y = y[:, self._spread]
+        self._h = _silverman_bandwidths(y) if bandwidth is None else h[self._spread]
         super().__init__(x)
         x = self._x
         # constant targets reproduce exactly (downstream ranking relies on it)
         self._const = np.all(x == x[:, :1], axis=1)
         self._mean = np.where(self._const, x[:, 0], x.mean(axis=1))
-        self._degenerate = bool(np.any(h <= 0.0) or np.all(self._const))
-        self._h = np.where(h > 0.0, h, 1.0)
-        self._m = m
+        self._degenerate = bool(self._h.size == 0 or np.any(self._h <= 0.0)
+                                or np.all(self._const))
+        self._m = y.shape[1]
         if self._degenerate:
             return
-        if m == 1:
+        if self._m == 1:
             ys = y[:, 0]
             lo, hi = ys.min(), ys.max()
             nb = min(_BINS_1D, max(16, t))
             edges = np.linspace(lo, hi, nb + 1)
             which = np.clip(np.searchsorted(edges, ys, side="right") - 1, 0, nb - 1)
-            self._centers = 0.5 * (edges[:-1] + edges[1:])
             # row 0: bin counts; row 1 + j: bin sums of target j
-            self._table = np.array([np.bincount(which, minlength=nb)]
-                                   + [np.bincount(which, weights=row, minlength=nb)
-                                      for row in x], dtype=float)
+            table = np.array([np.bincount(which, minlength=nb)]
+                             + [np.bincount(which, weights=row, minlength=nb) for row in x],
+                             dtype=float)
+            # empty bins add only exact zeros: keep the occupied ones
+            occupied = table[0] > 0.0
+            self._centers = (0.5 * (edges[:-1] + edges[1:]))[occupied]
+            self._table = table[:, occupied]
         else:
             self._search = _Neighbours(y / self._h)
 
@@ -226,6 +242,7 @@ class KernelRegressor(_Targets):
             y = y[:, None]
         if self._degenerate:
             return self._shaped(np.repeat(self._mean[:, None], y.shape[0], axis=1))
+        y = y[:, self._spread]
         out = np.empty((self._x.shape[0], y.shape[0]))
         if self._m == 1:
             for s in _blocks(y.shape[0]):
@@ -251,12 +268,9 @@ class KernelRegressor(_Targets):
         sums = self._table @ np.exp(logw, out=logw).T
         ok = sums[0] > 0.0
         out = sums[1:] / np.where(ok, sums[0], 1.0)
-        if not np.all(ok):  # fully underflowed: nearest bin with data
-            occupied = self._table[0] > 0.0
-            cc = self._centers[occupied]
-            vals = self._table[1:, occupied] / self._table[0, occupied]
-            nearest = np.abs(q[~ok, None] - cc[None, :]).argmin(axis=1)
-            out[:, ~ok] = vals[:, nearest]
+        if not np.all(ok):  # every scaled distance overflowed: nearest bin
+            nearest = np.abs(q[~ok, None] - self._centers[None, :]).argmin(axis=1)
+            out[:, ~ok] = self._table[1:, nearest] / self._table[0, nearest]
         return out
 
 

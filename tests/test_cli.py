@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -791,6 +792,39 @@ class TestRegressionFlag:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert captured.err.startswith(f"crm: error: --regression {spec}: ")
+
+    # F0, F1 and joint factor risks under tail:0.05 on crmbench's seed-5
+    # solver_factor inputs. At 1e-300 and 1e-160 every scaled distance but a
+    # sample's own overflows: one factor falls back to the mean of the
+    # sample's bin, two take the sample's own value. At 1e300 every weight is
+    # 1: one factor takes the global mean, summed by the bin table's matrix
+    # product and so held to the last bits only, and two take the mean of the
+    # 256 earliest rows, all tied at distance 0.
+    @pytest.mark.parametrize("bandwidth, risks", [
+        ("1e-300", (12.586966824803806, 11.830719859558913, 14.098098914721445)),
+        ("1e-160", (12.586966824803806, 11.830719859558913, 14.098098914721445)),
+        ("1e300", (-0.13094548720621355, -0.13094548720621366, -0.01299112461954409)),
+    ])
+    def test_extreme_bandwidths_on_the_benchmark_inputs(self, tmp_path, capsys, bandwidth,
+                                                         risks):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        spec = importlib.util.spec_from_file_location(
+            "crmbench_inputs", os.path.join(root, "crmbench", "inputs.py"))
+        inputs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(inputs)
+        inputs.generate("solver_factor", 5, str(tmp_path))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, rep = run(capsys, ["factor", "--input", tmp_path / "panel.csv",
+                                     "--factors", tmp_path / "factors.csv",
+                                     "--measure", "tail:0.05", "--regression",
+                                     f"kernel:{bandwidth}", "--joint"])
+        assert code == 0
+        got = [row["factor_risk"] for row in rep["factors"]] + [rep["joint_factor_risk"]]
+        if bandwidth == "1e300":
+            assert got[:2] == pytest.approx(risks[:2], rel=1e-14, abs=0.0)
+            assert got[2] == risks[2]
+        else:
+            assert tuple(got) == risks
 
 
 class TestOptimizeCommand:

@@ -46,6 +46,43 @@ class TestRegression:
         reg = F.fit_conditional_mean(y, x, "kernel", bandwidth=0.1)
         assert reg.predict(np.array([[100.0]]))[0] == pytest.approx(7.0, abs=1e-6)
 
+    @pytest.mark.parametrize("query", [4.999, 5.0, 5.0005])
+    def test_gap_query_weighs_the_bins_on_both_sides(self, query):
+        # 16 samples make 16 bins of width 0.625 on [0, 10]; only bins 0, 1, 14
+        # and 15 hold data. The gap between the centres 0.9375 and 9.0625 spans
+        # 162 bandwidths, so every weight of a query in it underflows against
+        # the empty bin nearest to it: a query there weighs the occupied bins
+        # against the nearest of them, here bins 1 and 14 on either side
+        y = np.array([0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7,
+                      9.3, 9.4, 9.5, 9.6, 9.7, 9.8, 9.9, 10.0])
+        x = np.arange(16.0)
+        h = 0.05
+        centers, counts, sums = [0.3125, 0.9375, 9.0625, 9.6875], [7, 1, 1, 7], [21, 7, 8, 84]
+        logw = [-0.5 * ((query - c) / h) ** 2 for c in centers]
+        wgt = [math.exp(lw - max(logw)) for lw in logw]
+        want = (math.fsum(w * s for w, s in zip(wgt, sums))
+                / math.fsum(w * n for w, n in zip(wgt, counts)))
+        got = F.fit_conditional_mean(y, x, "kernel", bandwidth=h).predict(np.array([query]))
+        assert 7.0 < want < 8.0
+        assert got[0] == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize("constant", [0.0, 0.1, 1.7])
+    @pytest.mark.parametrize("bandwidth", [None, 0.3])
+    def test_constant_factor_column_is_left_out(self, constant, bandwidth):
+        # a constant column tells no samples apart: the fit is the one on the
+        # other columns, bit for bit, and not the global mean
+        rng = np.random.default_rng(22)
+        f = rng.standard_t(4, size=(500, 2))
+        x = (f @ [1.0, -0.5])[:, None] + rng.normal(size=(500, 3)) * [0.1, 1.0, 3.0]
+        for cols in ([0], [0, 1]):
+            with_g = np.insert(f[:, cols], 1, constant, axis=1)
+            want = F.fit_conditional_mean(f[:, cols], x, "kernel", bandwidth=bandwidth)
+            got = F.fit_conditional_mean(with_g, x, "kernel", bandwidth=bandwidth)
+            assert np.array_equal(got.predict(with_g), want.predict(f[:, cols]))
+        g = np.full((500, 2), constant)
+        reg = F.fit_conditional_mean(g, x, "kernel", bandwidth=bandwidth)
+        assert np.allclose(reg.predict(g[:2]), x.mean(axis=0), rtol=1e-14, atol=0.0)
+
     def test_knn(self):
         y = np.arange(10.0)
         x = y * 3.0

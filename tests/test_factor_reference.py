@@ -1,15 +1,17 @@
 """The conditional-mean regressors against the dense per-target reference.
 
 The reference fits one target at a time. In one dimension it builds the full
-queries x bins Gaussian weight matrix and sums it twice per target; in more
-dimensions, and for k-nearest neighbours, it picks each query's neighbours
-from the dense queries x T distance matrix, ordered by (squared distance,
-index). The regressors in ``crm.factor`` share one bin table or one
+queries x occupied bins Gaussian weight matrix and sums it twice per target;
+in more dimensions, and for k-nearest neighbours, it picks each query's
+neighbours from the dense queries x T distance matrix, ordered by (squared
+distance, index). The regressors in ``crm.factor`` share one bin table or one
 neighbour search among all n targets and predict in blocks or groups of
 query rows, so these tests cross block and leaf boundaries and check every
 target column against its own reference fit. The neighbour search itself is
 checked against scipy's ``cKDTree``.
 """
+
+import math
 
 import numpy as np
 from hypothesis import given, settings
@@ -38,13 +40,16 @@ def _bandwidths(y, bandwidth):
 
 
 def reference_kernel(y, x, q, bandwidth=None):
-    """Gaussian-kernel conditional mean of one target x (T,) at the queries q."""
-    t, m = y.shape
-    h = _bandwidths(y, bandwidth)
+    """Gaussian-kernel conditional mean of one target x (T,) at the queries q,
+    on the factor columns that are not constant."""
     if np.all(x == x[0]):
         return np.full(q.shape[0], x[0])
-    if np.any(h <= 0.0):
+    spread = np.any(y != y[:1], axis=0)
+    if not np.any(spread):
         return np.full(q.shape[0], x.mean())
+    y, q = y[:, spread], q[:, spread]
+    t, m = y.shape
+    h = _bandwidths(y, bandwidth)
     if m > 1:
         d2, idx = brute_nearest(y / h, q / h, min(F._KERNEL_NEIGHBORS, t))
         dist = np.sqrt(d2)
@@ -59,6 +64,9 @@ def reference_kernel(y, x, q, bandwidth=None):
     centers = 0.5 * (edges[:-1] + edges[1:])
     bin_n = np.bincount(which, minlength=nb).astype(float)
     bin_sx = np.bincount(which, weights=x, minlength=nb)
+    # the bins that hold data; the largest of a query's weights on them scales the rest
+    occupied = bin_n > 0.0
+    centers, bin_n, bin_sx = centers[occupied], bin_n[occupied], bin_sx[occupied]
     z = (qs[:, None] - centers[None, :]) / h[0]
     logw = -0.5 * z * z
     logw_max = logw.max(axis=1, keepdims=True)
@@ -67,10 +75,8 @@ def reference_kernel(y, x, q, bandwidth=None):
     out = np.empty(qs.size)
     ok = denom > 0.0
     out[ok] = numer[ok] / denom[ok]
-    if np.any(~ok):  # fully underflowed: nearest bin with data
-        occupied = bin_n > 0.0
-        vals = bin_sx[occupied] / bin_n[occupied]
-        out[~ok] = vals[np.abs(qs[~ok, None] - centers[occupied][None, :]).argmin(axis=1)]
+    if np.any(~ok):  # every scaled distance overflowed: nearest bin with data
+        out[~ok] = (bin_sx / bin_n)[np.abs(qs[~ok, None] - centers[None, :]).argmin(axis=1)]
     return out
 
 
@@ -164,15 +170,20 @@ def search(y, q, k):
 
 @st.composite
 def search_cases(draw):
-    """(factor sample y, queries q, k): Student-t samples, or rounded ones
-    full of ties; queries in the sample, in its gaps, repeated and far out."""
+    """(factor sample y, queries q, k): Student-t samples, rounded ones full of
+    ties, or the first t points of an integer grid, where every distance ties
+    many times; queries in the sample, in its gaps, repeated and far out."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     m = draw(st.integers(1, 5))
     t = draw(st.sampled_from([1, 2, 15, 16, 31, 32, 33, 200, 1000]))
     k = draw(st.integers(1, t))
     y = rng.standard_t(4, size=(t, m))
-    if draw(st.booleans()):
+    shape = draw(st.sampled_from(["plain", "rounded", "grid"]))
+    if shape == "rounded":
         y = np.round(y)
+    elif shape == "grid":
+        side = math.ceil(t ** (1.0 / m))
+        y = np.stack(np.unravel_index(np.arange(t), (side,) * m), axis=1).astype(float)
     gaps = rng.uniform(y.min(axis=0) - 1.0, y.max(axis=0) + 1.0, (25, m))
     q = np.vstack([y, gaps, y[:3], gaps[:3], [[1e6] * m], [[-1e6] * m]])
     return y, q, k

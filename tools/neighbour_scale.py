@@ -9,8 +9,8 @@ draws in m dimensions and the queries are the sample itself, as in the
 conditional-mean fits of `crm factor`. Each cell is the best of 3 wall-clock
 times, in seconds, of crm's search (build, then every query group) and of
 cKDTree (build, then one query). crm is imported from the src/ beside this
-script. The whole table takes about half an hour on a 2-core Xeon, most of it
-in five dimensions at T = 80,000, where the partition prunes almost nothing.
+script. The whole table takes about twelve minutes on a 2-core Xeon, most of
+it in five dimensions at T = 80,000, where the partition prunes almost nothing.
 """
 
 from __future__ import annotations
