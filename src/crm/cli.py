@@ -24,15 +24,15 @@ import numpy as np
 
 from . import _kernels
 from . import distortion as _distortion
-from . import factor as _factor
 from . import mc as _mc
-from . import optimize as _optimize
 from . import sampling as _sampling
-from . import sharing as _sharing
 from .contribution import capital_allocation, tail_correlation
 from .errors import CrmError, DataError
 from .panel import JointPanel, _number, align, ingest_panel, read_rows, read_text
 from .scenario import ScenarioDistribution, tail_var, weighted_var
+
+# factor, optimize and sharing are imported by the commands that call them:
+# each command is a fresh interpreter, and most never use them
 
 __all__ = ["main", "run_command"]
 
@@ -216,10 +216,11 @@ def _check_standardize(standardize: bool, scheme, source: str) -> None:
 
 
 def _reject_unread(args, flags, mode: str) -> None:
-    """A DataError naming the first of `flags` that args sets: `mode` of the
-    command never reads them."""
+    """A DataError naming the first of `flags` that args sets (to anything but
+    None, False or ""): `mode` of the command never reads them."""
     for flag in flags:
-        if getattr(args, flag[2:].replace("-", "_")):
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None and value is not False and value != "":
             raise DataError(f"{mode} does not read {flag}")
 
 
@@ -328,7 +329,7 @@ def _cover(dates, source, panel: JointPanel, path) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _cmd_estimate(args) -> dict:
-    if args.trials:
+    if args.trials is not None:
         _check_trials(args.trials)
     panel = _panel(args.input, "with --trials" if args.trials else "")
     series = _series(panel, args.input, args.columns)
@@ -415,7 +416,7 @@ def _cmd_contrib(args) -> dict:
         _reject_unread(args, ("--measure", "--scheme", "--trials", "--firm", "--firm-columns"),
                        "contrib --announced (the announce file fixes them)")
         return _contrib_announced(args)
-    if args.trials:
+    if args.trials is not None:
         _check_trials(args.trials)
     if not args.firm:
         raise DataError("contrib needs either --announced or --firm")
@@ -525,6 +526,7 @@ def _parse_regression(text: str) -> dict:
 
 
 def _cmd_factor(args) -> dict:
+    from . import factor as _factor
     panel = _panel(args.input, "by factor")
     factors = _panel(args.factors, "by factor")
     pi, fi = align(panel.dates, factors.dates)
@@ -556,6 +558,7 @@ def _cmd_factor(args) -> dict:
 
 
 def _cmd_optimize(args) -> dict:
+    from . import factor as _factor, optimize as _optimize
     _check_solver(args)
     panel = _panel(args.panel)
     rewards = _read_rewards(args.rewards, panel, args.panel)
@@ -632,6 +635,7 @@ def _cmd_kappa(args) -> dict:
 
 
 def _cmd_equilibrium(args) -> dict:
+    from . import sharing as _sharing
     _check_solver(args)
     spec = read_text(args.firm, json.load)
     base = os.path.dirname(os.path.abspath(args.firm))
@@ -741,7 +745,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--measure", required=True)
     p.add_argument("--scheme", default=_FULL_HISTORY)
-    p.add_argument("--trials", type=int, default=0)
+    p.add_argument("--trials", type=int)
     p.add_argument("--columns")
     p.add_argument("--emit-plot-data", metavar="PREFIX")
     common(p, standardize=True)
@@ -765,7 +769,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--announced", help="announce file from `crm announce`")
     p.add_argument("--measure", default="")
     p.add_argument("--scheme", help=f"Monte Carlo draw scheme (default {_FULL_HISTORY})")
-    p.add_argument("--trials", type=int, default=0)
+    p.add_argument("--trials", type=int)
     common(p, standardize=True)
     p.set_defaults(fn=_cmd_contrib)
 
@@ -822,6 +826,8 @@ def run_command(argv) -> int:
     "timings": ...} as JSON to stdout."""
     args = _build_parser().parse_args(argv)
     try:
+        if not 0 <= getattr(args, "seed", 0) < 2 ** 64:  # the draws would read it mod 2**64
+            raise DataError(f"--seed must be an integer from 0 to 2**64 - 1, got {args.seed}")
         t0 = time.perf_counter()
         _emit({"command": list(argv), **args.fn(args),
                "timings": {"seconds": time.perf_counter() - t0}})

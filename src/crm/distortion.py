@@ -67,7 +67,8 @@ class WeightingMeasure:
         """Concave distortion (integral of the spectrum) at x in [0, 1]."""
         x_arr, scalar = _as_prob_array(x, lo_open=False)
         if self.kind == "mixture":
-            out = np.minimum(x_arr[..., None] / self.levels, 1.0) @ self.weights
+            with np.errstate(over="ignore"):  # x / a subnormal level: inf, capped at 1
+                out = np.minimum(x_arr[..., None] / self.levels, 1.0) @ self.weights
         else:
             from scipy import special
 

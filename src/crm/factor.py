@@ -74,7 +74,8 @@ def _sq_gap(lo, hi, qlo, qhi) -> np.ndarray:
     """Squared distances between boxes (dimensions last), summed as _sq_dist sums:
     rounding is monotone, so none exceeds that of two points in the boxes."""
     gap = np.maximum(np.maximum(lo - qhi, qlo - hi), 0.0)
-    return sum(gap[..., j] ** 2 for j in range(gap.shape[-1]))
+    with np.errstate(over="ignore"):  # past the largest float: inf, the farthest
+        return sum(gap[..., j] ** 2 for j in range(gap.shape[-1]))
 
 
 class _Neighbours:
@@ -108,7 +109,8 @@ class _Neighbours:
         """Squared distances from q to the points idx, the dimensions summed in
         order, as scipy's k-d tree sums up to 7 of them: its bits exactly."""
         p = self._p[idx]
-        return sum((q[:, None, j] - p[None, :, j]) ** 2 for j in range(q.shape[1]))
+        with np.errstate(over="ignore"):  # past the largest float: inf, the farthest
+            return sum((q[:, None, j] - p[None, :, j]) ** 2 for j in range(q.shape[1]))
 
     def groups(self, q: np.ndarray, k: int):
         """(rows, squared distances, indices) for groups of at most
@@ -262,9 +264,11 @@ class KernelRegressor(_Targets):
     def _predict_1d(self, q: np.ndarray) -> np.ndarray:
         logw = q[:, None] - self._centers[None, :]
         logw /= self._h[0]
-        logw *= logw
-        logw *= -0.5
-        logw -= logw.max(axis=1, keepdims=True)
+        # every scaled distance overflowing makes a row nan: the nearest bin below
+        with np.errstate(over="ignore", invalid="ignore"):
+            logw *= logw
+            logw *= -0.5
+            logw -= logw.max(axis=1, keepdims=True)
         sums = self._table @ np.exp(logw, out=logw).T
         ok = sums[0] > 0.0
         out = sums[1:] / np.where(ok, sums[0], 1.0)

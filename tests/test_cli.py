@@ -474,7 +474,7 @@ class TestFlagsAModeNeverReads:
 
     @pytest.mark.parametrize("extra", [
         ["--measure", "beta:6,2"], ["--scheme", "uniform:300"], ["--trials", "50"],
-        ["--firm", "p.csv"], ["--firm-columns", "A"]])
+        ["--firm", "p.csv"], ["--firm-columns", "A"], ["--trials", "0"]])
     def test_contrib_announced(self, ann, trade_csv, capsys, extra):
         self.rejected(capsys, ["contrib", "--input", trade_csv, "--announced", ann,
                                "--seed", 3] + extra, extra[0])
@@ -525,7 +525,8 @@ class TestTrialCount:
         ["announce", "--measure", "alpha:8", "--scheme", "uniform:300"],
         ["contrib", "--firm", "FIRM", "--measure", "alpha:8", "--scheme", "uniform:300"],
     ])
-    @pytest.mark.parametrize("trials", [1, -3])
+    # 0 used to run the exact path
+    @pytest.mark.parametrize("trials", [1, 0, -3])
     def test_fewer_than_two_trials_rejected(self, panel_csv, argv, trials, capsys):
         argv = [str(panel_csv) if a == "FIRM" else a for a in argv]
         code = cli.run_command(argv + ["--input", str(panel_csv), "--trials", str(trials),
@@ -807,24 +808,40 @@ class TestRegressionFlag:
     ])
     def test_extreme_bandwidths_on_the_benchmark_inputs(self, tmp_path, capsys, bandwidth,
                                                          risks):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = self.benchmark_factor_risks(tmp_path, capsys, bandwidth)
+        if bandwidth == "1e300":
+            assert got[:2] == pytest.approx(risks[:2], rel=1e-14, abs=0.0)
+            assert got[2] == risks[2]
+        else:
+            assert tuple(got) == risks
+
+    # the overflows at these bandwidths are intended, and computed where numpy
+    # is told so: no RuntimeWarning reaches the user
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bandwidth, risks", [
+        ("1e-300", (12.586966824803806, 11.830719859558913, 14.098098914721445)),
+        ("1e-160", (12.586966824803806, 11.830719859558913, 14.098098914721445)),
+    ])
+    def test_overflowing_bandwidths_warn_nothing(self, tmp_path, capsys, bandwidth, risks):
+        assert tuple(self.benchmark_factor_risks(tmp_path, capsys, bandwidth)) == risks
+
+    @staticmethod
+    def benchmark_factor_risks(tmp_path, capsys, bandwidth) -> list:
+        """F0, F1 and joint factor risks of `factor --joint` under tail:0.05 and
+        kernel:bandwidth on crmbench's seed-5 solver_factor inputs."""
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         spec = importlib.util.spec_from_file_location(
             "crmbench_inputs", os.path.join(root, "crmbench", "inputs.py"))
         inputs = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(inputs)
         inputs.generate("solver_factor", 5, str(tmp_path))
-        with np.errstate(over="ignore", invalid="ignore"):
-            code, rep = run(capsys, ["factor", "--input", tmp_path / "panel.csv",
-                                     "--factors", tmp_path / "factors.csv",
-                                     "--measure", "tail:0.05", "--regression",
-                                     f"kernel:{bandwidth}", "--joint"])
+        code, rep = run(capsys, ["factor", "--input", tmp_path / "panel.csv",
+                                 "--factors", tmp_path / "factors.csv",
+                                 "--measure", "tail:0.05", "--regression",
+                                 f"kernel:{bandwidth}", "--joint"])
         assert code == 0
-        got = [row["factor_risk"] for row in rep["factors"]] + [rep["joint_factor_risk"]]
-        if bandwidth == "1e300":
-            assert got[:2] == pytest.approx(risks[:2], rel=1e-14, abs=0.0)
-            assert got[2] == risks[2]
-        else:
-            assert tuple(got) == risks
+        return [row["factor_risk"] for row in rep["factors"]] + [rep["joint_factor_risk"]]
 
 
 class TestOptimizeCommand:
@@ -1658,6 +1675,49 @@ class TestBoundaryErrors:
         assert code == 1
         assert err.startswith(f"crm: error: malformed measure spec {spec!r}: ")
         assert err.count("\n") == 1 and "Warning" not in err
+
+    # seeds used to be read modulo 2**64: -1 drew what 2**64 - 1 draws
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, -(2 ** 64)])
+    @pytest.mark.parametrize("command", ["estimate", "estimate-trials", "announce",
+                                         "contrib-trials", "optimize"])
+    def test_seed_outside_64_bits_names_the_flag(self, tmp_path, panel_csv, trade_csv,
+                                                 capsys, command, seed):
+        (tmp_path / "r.csv").write_text("asset,reward\nA,1.0\nB,0.5\n")
+        (tmp_path / "l.json").write_text(json.dumps([{"measure": "tail:0.5", "limit": 1.0}]))
+        trials = ["--measure", "beta:6,2", "--trials", 20]
+        argv = {"estimate": ["estimate", "--input", panel_csv, "--measure", "tail:0.5"],
+                "estimate-trials": ["estimate", "--input", panel_csv] + trials,
+                "announce": ["announce", "--input", panel_csv] + trials,
+                "contrib-trials": ["contrib", "--input", trade_csv, "--firm", panel_csv]
+                + trials,
+                "optimize": ["optimize", "--panel", panel_csv, "--rewards", tmp_path / "r.csv",
+                             "--limits", tmp_path / "l.json"]}[command]
+        assert run(capsys, argv + ["--seed", 2 ** 64 - 1])[0] == 0
+        code = cli.run_command([str(a) for a in argv + ["--seed", seed]])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == ("crm: error: --seed must be an integer from 0 to "
+                                f"2**64 - 1, got {seed}\n")
+
+    # x / 1e-320 overflows to inf, which the distortion caps at 1 on purpose:
+    # the level weighs the firm's worst scenario alone, and nothing warns
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["estimate", "allocate", "contrib", "kappa"])
+    def test_subnormal_level_warns_nothing(self, panel_csv, trade_csv, capsys, command):
+        argv = {"estimate": ["estimate", "--input", panel_csv, "--seed", 1],
+                "allocate": ["allocate", "--input", panel_csv],
+                "contrib": ["contrib", "--input", trade_csv, "--firm", panel_csv, "--seed", 1],
+                "kappa": ["kappa", "--input", trade_csv, "--firm", panel_csv]}[command]
+        code, rep = run(capsys, argv + ["--measure", "mix:1@1e-320"])
+        assert code == 0
+        x, w = ingest_panel(trade_csv).series(), ingest_panel(panel_csv).series()
+        got, want = {
+            "estimate": (rep.get("estimate"), -w.min()),
+            "allocate": (rep.get("total_risk"), -w.min()),
+            "contrib": ((rep.get("contribution"), rep.get("firm_risk")),
+                        (-x[w.argmin()], -w.min())),
+            "kappa": (rep.get("tail_correlation"), x[w.argmin()] / x.min())}[command]
+        assert got == want
 
     def test_memory_error_is_one_line(self, tmp_path):
         # 2e6 trials of 250 draws need gigabytes; the child may map 1 GiB

@@ -1,9 +1,11 @@
-"""Start-up cost: `crm` loads scipy only inside the functions that call it.
+"""Start-up cost: `crm` loads scipy only inside the functions that call it,
+and `crm.cli` loads the solver modules (factor, optimize, sharing) only in
+the commands that call them.
 
-Every `crm` command is a fresh interpreter, so a module-level scipy import is
-paid by every command, including the many that never call scipy. The test
-process itself has scipy loaded already, so each case runs in a fresh
-subprocess and reports which scipy modules it ended up with.
+Every `crm` command is a fresh interpreter, so a module-level import is paid
+by every command, including the many that never use it. The test process
+itself has these modules loaded already, so each case runs in a fresh
+subprocess and reports which modules it ended up with.
 """
 
 import json
@@ -18,11 +20,12 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 _REPORT = """
 import json, sys
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+print(json.dumps(sorted(sys.modules)))
 """
+_SOLVER_MODULES = ("crm.factor", "crm.optimize", "crm.sharing")
 
 
-def scipy_modules_after(code: str, cwd) -> list:
+def modules_after(code: str, cwd) -> list:
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code) + _REPORT],
@@ -31,8 +34,20 @@ def scipy_modules_after(code: str, cwd) -> list:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def scipy_modules_after(code: str, cwd) -> list:
+    return [m for m in modules_after(code, cwd) if m.split(".")[0] == "scipy"]
+
+
+def solver_modules_after(code: str, cwd) -> list:
+    return [m for m in modules_after(code, cwd) if m in _SOLVER_MODULES]
+
+
 def test_import_loads_no_scipy(tmp_path):
     assert scipy_modules_after("import crm, crm.cli", tmp_path) == []
+
+
+def test_import_loads_no_solver_module(tmp_path):
+    assert solver_modules_after("import crm, crm.cli", tmp_path) == []
 
 
 # Commands whose work is sort, weight and sum: none of them calls scipy.
@@ -55,10 +70,9 @@ _COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("argv", list(_COMMANDS.values()), ids=list(_COMMANDS))
-def test_command_loads_no_scipy(tmp_path, argv):
+def _desk_command(argv) -> str:
     # the announce file is read by `contrib --announced`, so every case makes one
-    code = f"""
+    return f"""
     import contextlib, io
     import numpy as np
     from crm import cli
@@ -75,7 +89,20 @@ def test_command_loads_no_scipy(tmp_path, argv):
         assert cli.run_command({_ANNOUNCE!r}) == 0
         assert cli.run_command({argv!r}) == 0
     """
-    assert scipy_modules_after(code, tmp_path) == []
+
+
+@pytest.mark.parametrize("argv", list(_COMMANDS.values()), ids=list(_COMMANDS))
+def test_command_loads_no_scipy(tmp_path, argv):
+    assert scipy_modules_after(_desk_command(argv), tmp_path) == []
+
+
+# The exact desk commands rank, weight and sum: none of them fits, solves or prices.
+_EXACT = ("estimate-tail", "estimate-mix", "allocate", "contrib-firm", "kappa")
+
+
+@pytest.mark.parametrize("name", _EXACT)
+def test_exact_command_loads_no_solver_module(tmp_path, name):
+    assert solver_modules_after(_desk_command(_COMMANDS[name]), tmp_path) == []
 
 
 # The solvers: the cutting-plane LP and the price fit are numpy; a
